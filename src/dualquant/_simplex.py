@@ -60,15 +60,13 @@ def _bland_iterate(A, b, c, basis, tol, max_iter):
     raise MaxIterationsError(f"simplex exceeded {max_iter} pivots")
 
 
-def solve_standard_form(A, b, c, tol) -> SimplexResult:
-    """Two-phase simplex; returns an optimal basis or infeasibility."""
+def _phase_one(A, b, tol):
+    """Phase one from the artificial basis: rows flipped so b >= 0, an
+    identity block appended.  Returns the extended program, the flips,
+    the final basis, its artificial mass and the pivot count."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
     m, n = A.shape
-    max_iter = 50 * (n + m) + 200
-
-    # Phase one: flip rows so b >= 0, append artificial identity columns.
     A1 = A.copy()
     b1 = b.copy()
     flip = b1 < 0
@@ -77,10 +75,19 @@ def solve_standard_form(A, b, c, tol) -> SimplexResult:
     A1 = np.hstack([A1, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    basis, xB, _, it1 = _bland_iterate(A1, b1, c1, basis, tol, max_iter)
-    total_it = it1
-
+    basis, xB, _, it = _bland_iterate(A1, b1, c1, basis, tol,
+                                      50 * (n + m) + 200)
     art_value = float(sum(xB[i] for i, col in enumerate(basis) if col >= n))
+    return A1, b1, flip, basis, art_value, it
+
+
+def solve_standard_form(A, b, c, tol) -> SimplexResult:
+    """Two-phase simplex; returns an optimal basis or infeasibility."""
+    c = np.asarray(c, dtype=float)
+    m, n = np.shape(A)
+    max_iter = 50 * (n + m) + 200
+
+    A1, b1, flip, basis, art_value, total_it = _phase_one(A, b, tol)
     if art_value > tol:
         return SimplexResult("infeasible", None, None, None, art_value, total_it)
 
@@ -116,17 +123,4 @@ def solve_standard_form(A, b, c, tol) -> SimplexResult:
 
 def phase_one_feasible(A, b, tol) -> bool:
     """True iff {x >= 0 : A x = b} is nonempty (within tol)."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    A1 = A.copy()
-    b1 = b.copy()
-    flip = b1 < 0
-    A1[flip] *= -1.0
-    b1[flip] *= -1.0
-    A1 = np.hstack([A1, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    basis, xB, _, _ = _bland_iterate(A1, b1, c1, basis, tol, 50 * (n + m) + 200)
-    art_value = float(sum(xB[i] for i, col in enumerate(basis) if col >= n))
-    return art_value <= tol
+    return _phase_one(A, b, tol)[4] <= tol

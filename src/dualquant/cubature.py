@@ -9,20 +9,17 @@ integrands with a Lipschitz differential.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .delaunay import batch_solve, triangulate
+from .batch import BatchSolver, shard_reduce
 from .distributions import DistributionSpec
-from .errors import InfeasibleError, SampleOutsideHullError
+from .errors import SampleOutsideHullError
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec
-from .lp import local_dq_solve
-from .metrics import DEFAULT_CHUNK
+from .metrics import DEFAULT_CHUNK, mean_and_se
 from .rng import RngStream
-from .splitting import interpolate, nn_project
+from .splitting import interpolate
 
 __all__ = [
     "SecondOrderReport",
@@ -57,86 +54,26 @@ class WeightTable:
         object.__setattr__(self, "weights", w)
 
 
-def _outcome_sampler(grid: Grid, spec: NormSpec, extended: bool):
-    """Vectorized splitting outcomes: (samples, uniforms) -> grid indices.
+def _split_draws(grid: Grid, dist: DistributionSpec, spec: NormSpec,
+                 rng: RngStream, extended: bool):
+    """Shard draws: (shard, m) -> (samples, their splitting outcomes).
 
-    Matches the cumulative-weight selection rule of ``splitting.split``
-    draw for draw in distribution; outside the hull the extended variant
-    projects to the nearest grid point.
+    Shard k takes its samples from ``rng.substream(2k)`` and applies the
+    cumulative-weight rule of ``splitting.split`` to each row's optimal
+    simplex with uniforms from ``rng.substream(2k + 1)``; outside the
+    hull the extended variant projects to the nearest grid point.
     """
-    if grid.dim == 1 and grid.n >= 2:
-        order = np.argsort(grid.points[:, 0], kind="stable")
-        xs = grid.points[order, 0]
-        lo, hi = xs[0], xs[-1]
+    solver = BatchSolver(grid, spec, extended)
 
-        def pick1d(X: np.ndarray, u: np.ndarray) -> np.ndarray:
-            x = X[:, 0]
-            if not extended and (np.any(x < lo) or np.any(x > hi)):
-                raise SampleOutsideHullError(
-                    "a sample fell outside the grid hull; "
-                    "use the extended weights instead")
-            xc = np.clip(x, lo, hi)
-            j = np.clip(np.searchsorted(xs, xc, side="right"), 1, len(xs) - 1)
-            lam_left = (xs[j] - xc) / (xs[j] - xs[j - 1])
-            return np.where(u < lam_left, order[j - 1], order[j])
+    def draw(shard: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        X = np.asarray(dist.sampler(rng.substream(2 * shard), m), dtype=float)
+        u = rng.substream(2 * shard + 1).uniform(m)
+        sol = solver.solve(X)
+        cum = np.cumsum(np.maximum(sol.weights, 0.0), axis=1)
+        pos = np.minimum((cum <= u[:, None]).sum(axis=1), cum.shape[1] - 1)
+        return X, sol.basis[np.arange(m), pos]
 
-        return pick1d
-
-    if grid.dim == 2 and grid.n >= 3 and spec.is_euclidean_quadratic:
-        tri = triangulate(grid)
-        tri_arr = np.asarray(tri.triangles, dtype=int)
-        tree = cKDTree(grid.points) if extended else None
-
-        def pick2d(X: np.ndarray, u: np.ndarray) -> np.ndarray:
-            tidx, lam = batch_solve(tri, X)
-            inside = tidx >= 0
-            out = np.empty(len(X), dtype=int)
-            if not np.all(inside):
-                if not extended:
-                    raise SampleOutsideHullError(
-                        "a sample fell outside the grid hull; "
-                        "use the extended weights instead")
-                _, js = tree.query(X[~inside])
-                out[~inside] = js
-            cum = np.cumsum(np.maximum(lam[inside], 0.0), axis=1)
-            pos = np.minimum((cum <= u[inside, None]).sum(axis=1), 2)
-            out[inside] = tri_arr[tidx[inside], pos]
-            return out
-
-        return pick2d
-
-    def pick_lp(X: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X), dtype=int)
-        for i, x in enumerate(X):
-            try:
-                sol = local_dq_solve(grid, x, spec)
-            except InfeasibleError:
-                if not extended:
-                    raise SampleOutsideHullError(
-                        "a sample fell outside the grid hull; "
-                        "use the extended weights instead") from None
-                out[i] = nn_project(grid, x, spec)
-                continue
-            cum = np.cumsum(np.maximum(sol.weights, 0.0))
-            pos = min(int(np.searchsorted(cum, u[i], side="right")),
-                      len(sol.basis) - 1)
-            out[i] = sol.basis[pos]
-        return out
-
-    return pick_lp
-
-
-def _sharded(n_samples: int, chunk: int, threads: int, run):
-    """Run per-shard work, reducing results in shard-index order."""
-    sizes = []
-    done = 0
-    while done < n_samples:
-        sizes.append(min(chunk, n_samples - done))
-        done += sizes[-1]
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(len(sizes)), sizes))
-    return [run(s, m) for s, m in enumerate(sizes)]
+    return draw
 
 
 def weights(grid: Grid, dist: DistributionSpec, spec: NormSpec,
@@ -154,16 +91,12 @@ def weights(grid: Grid, dist: DistributionSpec, spec: NormSpec,
         raise ValueError("distribution dimension must match the grid")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    pick = _outcome_sampler(grid, spec, extended)
+    draw = _split_draws(grid, dist, spec, rng, extended)
 
-    def run(shard: int, m: int) -> np.ndarray:
-        X = np.asarray(dist.sampler(rng.substream(2 * shard), m), dtype=float)
-        u = rng.substream(2 * shard + 1).uniform(m)
-        return np.bincount(pick(X, u), minlength=grid.n)
+    def run(shard: int, m: int) -> tuple[np.ndarray]:
+        return (np.bincount(draw(shard, m)[1], minlength=grid.n),)
 
-    counts = np.zeros(grid.n)
-    for c in _sharded(n_samples, chunk, threads, run):
-        counts += c
+    (counts,) = shard_reduce(n_samples, chunk, threads, run)
     return WeightTable(grid, counts / n_samples, n_samples, rng.seed)
 
 
@@ -252,36 +185,25 @@ def second_order_report(grid: Grid, dist: DistributionSpec, spec: NormSpec,
         raise ValueError("distribution dimension must match the grid")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    pick = _outcome_sampler(grid, spec, extended)
+    draw = _split_draws(grid, dist, spec, rng, extended)
     fgrid = np.asarray([float(F(x)) for x in grid.points])
 
     def run(shard: int, m: int) -> tuple[float, float, float, float]:
-        X = np.asarray(dist.sampler(rng.substream(2 * shard), m), dtype=float)
-        u = rng.substream(2 * shard + 1).uniform(m)
-        J = pick(X, u)
+        X, J = draw(shard, m)
         d = np.asarray([float(F(x)) for x in X]) - fgrid[J]
         b = ((X - grid.points[J]) ** 2).sum(axis=1)
         return float(d.sum()), float(d @ d), float(b.sum()), float(b @ b)
 
-    sd = sd2 = sb = sb2 = 0.0
-    for pd, pd2, pb, pb2 in _sharded(n_samples, chunk, threads, run):
-        sd += pd
-        sd2 += pd2
-        sb += pb
-        sb2 += pb2
-    n = n_samples
-    err_mean = sd / n
-    err_var = max(sd2 - n * err_mean * err_mean, 0.0) / (n - 1)
-    b_mean = sb / n
-    b_var = max(sb2 - n * b_mean * b_mean, 0.0) / (n - 1)
-    error_std = float(np.sqrt(err_var / n))
-    bound_std = lip * float(np.sqrt(b_var / n))
+    sd, sd2, sb, sb2 = shard_reduce(n_samples, chunk, threads, run)
+    err_mean, error_std = mean_and_se(sd, sd2, n_samples)
+    b_mean, b_se = mean_and_se(sb, sb2, n_samples)
+    bound_std = lip * b_se
     cubature_error = abs(err_mean)
     bound = lip * b_mean
     slack = 4.0 * float(np.hypot(error_std, bound_std))
     return SecondOrderReport(cubature_error, bound,
                              cubature_error <= bound + slack,
-                             error_std, bound_std, n)
+                             error_std, bound_std, n_samples)
 
 
 def convex_dominance_check(grid: Grid, F, test_points,

@@ -314,27 +314,17 @@ def _resolve_cocircular_diagonals(tri: Triangulation) -> None:
             return
 
 
-def locate(tri: Triangulation, xi, hint: int | None = None, coords=None) -> int | None:
+def locate(tri: Triangulation, xi, hint: int | None = None) -> int | None:
     """Walk to the triangle containing xi; None when xi is outside.
 
     When xi lies on a shared edge or vertex, the lowest-indexed
-    containing triangle is returned.  ``coords`` overrides the stored
-    points (used while training moves vertices between rebuilds).
+    containing triangle is returned.
     """
-    P = tri.points if coords is None else coords
+    P = tri.points
     x, y = float(xi[0]), float(xi[1])
     ntri = len(tri.triangles)
     scale = 1.0 + abs(x) + abs(y)
     tol = EDGE_TOL * scale
-
-    def edge_sign(t):
-        i, j, k = tri.triangles[t]
-        pi, pj, pk = P[i], P[j], P[k]
-        return (
-            orient2d(pi[0], pi[1], pj[0], pj[1], x, y),
-            orient2d(pj[0], pj[1], pk[0], pk[1], x, y),
-            orient2d(pk[0], pk[1], pi[0], pi[1], x, y),
-        )
 
     for start in ((hint if hint is not None and 0 <= hint < ntri else 0), 0):
         t = start
@@ -467,13 +457,15 @@ def batch_solve(tri: Triangulation, X):
     z, r2 = tri.power_data()
     T = len(tri.triangles)
 
-    best_val = np.full(N, -np.inf)
-    best_t = np.zeros(N, dtype=np.int64)
-    for t in range(T):
-        v = r2[t] - (X[:, 0] - z[t, 0]) ** 2 - (X[:, 1] - z[t, 1]) ** 2
-        upd = v > best_val
-        best_t[upd] = t
-        best_val[upd] = v[upd]
+    # the first triangle of maximal power, 256 rows at a time
+    best_val = np.empty(N)
+    best_t = np.empty(N, dtype=np.int64)
+    for s in range(0, N, 256):
+        rows = slice(s, s + 256)
+        v = (r2 - (X[rows, 0, None] - z[:, 0]) ** 2
+             - (X[rows, 1, None] - z[:, 1]) ** 2)
+        best_t[rows] = np.argmax(v, axis=1)
+        best_val[rows] = v[np.arange(len(v)), best_t[rows]]
 
     inside = hull_mask(tri, X)
     tidx = np.where(inside, best_t, -1)
@@ -482,12 +474,10 @@ def batch_solve(tri: Triangulation, X):
     scale = 1.0 + float(np.max(np.abs(P)))
     bary_tol = EDGE_TOL * scale
 
-    inv = np.empty((T, 2, 2))
-    origin = np.empty((T, 2))
-    for t, (i, j, k) in enumerate(tri.triangles):
-        M = np.column_stack([P[i] - P[k], P[j] - P[k]])
-        inv[t] = np.linalg.inv(M)
-        origin[t] = P[k]
+    verts = np.asarray(tri.triangles)
+    origin = P[verts[:, 2]]
+    inv = np.linalg.inv(np.stack([P[verts[:, 0]] - origin,
+                                  P[verts[:, 1]] - origin], axis=-1))
 
     def assign(rows, t):
         rel = X[rows] - origin[t]
@@ -498,12 +488,16 @@ def batch_solve(tri: Triangulation, X):
         lam[rows[good]] = full[good]
         return good
 
+    # group the inside rows by triangle, each group in row order: every
+    # triangle then solves the same row block as a scan per triangle
     unresolved = np.zeros(N, dtype=bool)
-    for t in range(T):
-        rows = np.flatnonzero(inside & (best_t == t))
+    rows_in = np.flatnonzero(inside)
+    by_t = rows_in[np.argsort(best_t[rows_in], kind="stable")]
+    starts = np.flatnonzero(np.diff(best_t[by_t], prepend=-1))
+    for rows in np.split(by_t, starts[1:]):
         if rows.size == 0:
             continue
-        good = assign(rows, t)
+        good = assign(rows, best_t[rows[0]])
         unresolved[rows[~good]] = True
 
     if unresolved.any():

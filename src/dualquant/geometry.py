@@ -1,8 +1,7 @@
 """Grids, norms and the affine primitives under the local functional.
 
 Points are plain float arrays of shape (d,), grids hold an (n, d) array.
-All norm quantities are p-th powers of the chosen norm unless a function
-name says otherwise (`diameter` is a distance, not a power).
+All norm quantities are p-th powers of the chosen norm.
 """
 
 from __future__ import annotations
@@ -10,21 +9,14 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
 
 from . import _simplex
-from .errors import (
-    DegenerateGeometryError,
-    FlatGridError,
-    GridFormatError,
-    NonDifferentiableError,
-)
-
-Point = np.ndarray
+from .errors import DegenerateGeometryError, GridFormatError
 
 # Rank decisions use pivot magnitudes against this factor times the
 # input magnitude scale; feasibility checks scale 1e-9 the same way.
@@ -98,18 +90,6 @@ class Grid:
         return f"Grid(n={self.n}, dim={self.dim}, pinned={sorted(self.pinned)})"
 
 
-def norm_value(x, spec: NormSpec) -> float:
-    """The p-th power of the chosen norm of x."""
-    x = np.asarray(x, dtype=float)
-    if spec.kind == "l1":
-        base = float(np.sum(np.abs(x)))
-    elif spec.kind == "l2":
-        base = float(np.sqrt(np.sum(x * x)))
-    else:
-        base = float(np.max(np.abs(x)))
-    return base ** spec.p
-
-
 def norm_value_batch(diffs, spec: NormSpec) -> np.ndarray:
     """Row-wise ||diff||^p for an (N, d) array of difference vectors."""
     diffs = np.asarray(diffs, dtype=float)
@@ -125,51 +105,10 @@ def norm_value_batch(diffs, spec: NormSpec) -> np.ndarray:
     return base**spec.p
 
 
-def norm_p_gradient(x, spec: NormSpec) -> np.ndarray:
-    """Gradient of ||x||^p; raises NonDifferentiableError at kinks."""
-    x = np.asarray(x, dtype=float)
-    p = spec.p
-    if spec.kind == "l2":
-        r2 = float(np.sum(x * x))
-        if r2 == 0.0:
-            if p < 2.0:
-                raise NonDifferentiableError("||x||^p has a kink at the origin for p < 2")
-            return np.zeros_like(x)
-        return p * r2 ** (p / 2.0 - 1.0) * x
-    if spec.kind == "l1":
-        if np.any(x == 0.0):
-            raise NonDifferentiableError("l1 norm power is not differentiable where a coordinate vanishes")
-        s = float(np.sum(np.abs(x)))
-        return p * s ** (p - 1.0) * np.sign(x)
-    # linf: differentiable only where the argmax coordinate is unique
-    a = np.abs(x)
-    m = float(a.max())
-    if m == 0.0 or np.count_nonzero(a == m) != 1:
-        raise NonDifferentiableError("linf norm power is not differentiable at argmax ties")
-    j = int(np.argmax(a))
-    g = np.zeros_like(x)
-    g[j] = p * m ** (p - 1.0) * np.sign(x[j])
-    return g
-
-
 def extended_matrix(points) -> np.ndarray:
     """Stack coordinates over a row of ones: shape (d+1, k)."""
     pts = np.asarray(points, dtype=float)
     return np.vstack([pts.T, np.ones(pts.shape[0])])
-
-
-@dataclass(frozen=True)
-class AffineBasis:
-    """d+1 grid indices whose points affinely span R^d, with a cached solve."""
-
-    indices: tuple[int, ...]
-    _lu: tuple = field(repr=False)
-
-    def solve(self, rhs) -> np.ndarray:
-        sol = lu_solve(self._lu, rhs)
-        if not np.all(np.isfinite(sol)):
-            raise DegenerateGeometryError("stale or singular affine-basis factorization")
-        return sol
 
 
 def _rank_deficient(square: np.ndarray) -> bool:
@@ -194,25 +133,6 @@ def is_affine_basis(grid: Grid, indices) -> bool:
         return False
     M = extended_matrix(grid.points[idx])
     return not _rank_deficient(M)
-
-
-def affine_basis(grid: Grid, indices) -> AffineBasis:
-    """Build an AffineBasis with a cached LU factorization."""
-    idx = tuple(int(i) for i in indices)
-    if not is_affine_basis(grid, idx):
-        raise FlatGridError(f"indices {idx} are not an affine basis")
-    M = extended_matrix(grid.points[list(idx)])
-    return AffineBasis(idx, lu_factor(M, check_finite=False))
-
-
-def barycentric_solve(basis: AffineBasis, xi) -> np.ndarray:
-    """Weights lambda with sum(lambda_i x_i) = xi and sum(lambda_i) = 1.
-
-    Weights may be negative when xi lies outside the simplex.
-    """
-    xi = np.asarray(xi, dtype=float)
-    rhs = np.concatenate([xi, [1.0]])
-    return basis.solve(rhs)
 
 
 def in_convex_hull(grid: Grid, xi, tol: float | None = None) -> bool:
@@ -242,18 +162,6 @@ def circumcenter(points) -> tuple[np.ndarray, float]:
     z = np.linalg.solve(M, rhs)
     r = float(np.linalg.norm(z - x0))
     return z, r
-
-
-def diameter(grid: Grid, spec: NormSpec) -> float:
-    """Largest pairwise distance under the chosen norm (not its power)."""
-    diffs = grid.points[:, None, :] - grid.points[None, :, :]
-    if spec.kind == "l1":
-        d = np.sum(np.abs(diffs), axis=2)
-    elif spec.kind == "l2":
-        d = np.sqrt(np.sum(diffs**2, axis=2))
-    else:
-        d = np.max(np.abs(diffs), axis=2)
-    return float(d.max())
 
 
 # --- grid files ------------------------------------------------------------

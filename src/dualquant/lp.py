@@ -68,16 +68,12 @@ class ExtendedValue:
     nn_index: int | None
 
 
-def _scales(grid: Grid, xi: np.ndarray, costs: np.ndarray) -> tuple[float, float]:
-    coord = max(float(np.max(np.abs(grid.points))), float(np.max(np.abs(xi))), 1.0)
-    cost = max(float(np.max(costs)), 1.0)
-    return coord, cost
+def _cost_scale(costs: np.ndarray) -> float:
+    return max(float(np.max(costs)), 1.0)
 
 
 def _check_spans(grid: Grid) -> None:
-    M = extended_matrix(grid.points)
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= 1e-10 * (1.0 + sv[0]):
+    if not _affinely_independent(extended_matrix(grid.points)):
         raise FlatGridError("grid points do not affinely span the ambient space")
 
 
@@ -142,7 +138,7 @@ def local_dq_solve(grid: Grid, xi, spec: NormSpec) -> LocalSolution:
     c = _costs(grid, xi, spec)
     A = extended_matrix(grid.points)
     b = np.concatenate([xi, [1.0]])
-    _, cost_scale = _scales(grid, xi, c)
+    cost_scale = _cost_scale(c)
     tol_s = TOL * cost_scale
     res = _simplex.solve_standard_form(A, b, c, tol_s)
     if res.status == "infeasible":
@@ -187,8 +183,7 @@ def enumerate_bases_oracle(grid: Grid, xi, spec: NormSpec, budget: int = 2_000_0
     best = None
     for idx in combinations(range(n), d + 1):
         cols = extended_matrix(grid.points[list(idx)])
-        sv = np.linalg.svd(cols, compute_uv=False)
-        if sv[-1] <= 1e-10 * (1.0 + sv[0]):
+        if not _affinely_independent(cols):
             continue
         lam = np.linalg.solve(cols, b)
         if lam.min() < -1e-11:
@@ -206,8 +201,7 @@ def optimality_region_contains(grid: Grid, indices, xi, spec: NormSpec) -> bool:
     xi = np.asarray(xi, dtype=float)
     idx = [int(i) for i in indices]
     cols = extended_matrix(grid.points[idx])
-    sv = np.linalg.svd(cols, compute_uv=False)
-    if sv[-1] <= 1e-10 * (1.0 + sv[0]):
+    if not _affinely_independent(cols):
         raise FlatGridError("indices are not an affine basis")
     b = np.concatenate([xi, [1.0]])
     lam = np.linalg.solve(cols, b)
@@ -228,5 +222,5 @@ def is_nondegenerate(grid: Grid, xi, spec: NormSpec) -> bool:
     A = extended_matrix(grid.points)
     s = c - A.T @ sol.u
     outside = np.setdiff1d(np.arange(grid.n), np.asarray(sol.basis))
-    _, cost_scale = _scales(grid, sol.xi, c)
+    cost_scale = _cost_scale(c)
     return bool(np.min(s[outside]) > TOL * cost_scale)

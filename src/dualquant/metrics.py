@@ -2,26 +2,23 @@
 
 Monte Carlo estimators shard their samples into fixed-size chunks drawn
 from numbered substreams, so an estimate depends only on the seed and the
-chunk size, never on how the loop is scheduled.  The 1D and planar
-Euclidean-quadratic cases get closed-form batch evaluators; everything
-else falls back to the LP solver per sample.
+chunk size, never on how the loop is scheduled.  Local values come from
+the batch layer (``batch.BatchSolver``), which picks the 1D, planar
+Delaunay or per-sample LP path.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .delaunay import batch_values, hull_mask, triangulate
+from .batch import BatchSolver, shard_reduce
 from .distributions import DistributionSpec
-from .errors import InfeasibleError, SampleOutsideHullError
 from .geometry import Grid, NormSpec
-from .lp import local_dq_value, local_dq_value_extended
 from .rng import RngStream
 
 DEFAULT_CHUNK = 1 << 16
@@ -42,11 +39,6 @@ class ErrorEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def _sorted_axis(grid: Grid) -> np.ndarray:
-    xs = np.sort(grid.points[:, 0])
-    return xs
-
-
 def _require_ordered(grid: Grid) -> np.ndarray:
     if grid.dim != 1:
         raise ValueError("this evaluator is one-dimensional")
@@ -54,21 +46,6 @@ def _require_ordered(grid: Grid) -> np.ndarray:
     if grid.n > 1 and not np.all(np.diff(xs) > 0.0):
         raise ValueError("grid points must be strictly increasing")
     return xs
-
-
-def _segment_values(xs: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
-    """F^p on the convex hull of an ordered 1D grid, vectorized.
-
-    The optimal pair brackets the query as tightly as possible: the pair
-    value u*v*(u^{p-1}+v^{p-1})/(u+v) grows in each gap width, and basic
-    LP solutions in 1D carry at most two atoms.
-    """
-    j = np.clip(np.searchsorted(xs, x, side="right"), 1, len(xs) - 1)
-    u = x - xs[j - 1]
-    v = xs[j] - x
-    if p == 2:
-        return u * v
-    return (v * u**p + u * v**p) / (u + v)
 
 
 def dq_values_batch(grid: Grid, X, spec: NormSpec,
@@ -84,100 +61,26 @@ def dq_values_batch(grid: Grid, X, spec: NormSpec,
         X = X[:, None]
     if X.shape[1] != grid.dim:
         raise ValueError("query dimension does not match the grid")
-    return _batch_evaluator(grid, spec, extended)(X)
-
-
-def _batch_evaluator(grid: Grid, spec: NormSpec,
-                     extended: bool) -> Callable[[np.ndarray], np.ndarray]:
-    if grid.dim == 1 and grid.n >= 2:
-        xs = _sorted_axis(grid)
-        lo, hi = xs[0], xs[-1]
-
-        def ev1d(X: np.ndarray) -> np.ndarray:
-            x = X[:, 0]
-            inside = (x >= lo) & (x <= hi)
-            vals = np.empty(x.shape)
-            vals[inside] = _segment_values(xs, x[inside], spec.p)
-            if not np.all(inside):
-                if not extended:
-                    raise SampleOutsideHullError(
-                        "a sample fell outside the grid hull; "
-                        "use the extended error instead")
-                gap = np.minimum(np.abs(x[~inside] - lo),
-                                 np.abs(x[~inside] - hi))
-                vals[~inside] = gap ** spec.p
-            return vals
-
-        return ev1d
-
-    if grid.dim == 2 and grid.n >= 3 and spec.is_euclidean_quadratic:
-        tri = triangulate(grid)
-        tree = cKDTree(grid.points) if extended else None
-
-        def ev2d(X: np.ndarray) -> np.ndarray:
-            vals = np.maximum(batch_values(tri, X), 0.0)
-            inside = hull_mask(tri, X)
-            if not np.all(inside):
-                if not extended:
-                    raise SampleOutsideHullError(
-                        "a sample fell outside the grid hull; "
-                        "use the extended error instead")
-                d, _ = tree.query(X[~inside])
-                vals[~inside] = d ** 2
-            return vals
-
-        return ev2d
-
-    def ev_lp(X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X))
-        for i, x in enumerate(X):
-            if extended:
-                out[i] = local_dq_value_extended(grid, x, spec).value
-            else:
-                try:
-                    out[i] = local_dq_value(grid, x, spec)
-                except InfeasibleError as exc:
-                    raise SampleOutsideHullError(
-                        "a sample fell outside the grid hull; "
-                        "use the extended error instead") from exc
-        return out
-
-    return ev_lp
-
-
-def _shard_sizes(n_samples: int, chunk: int) -> list[int]:
-    sizes = []
-    done = 0
-    while done < n_samples:
-        sizes.append(min(chunk, n_samples - done))
-        done += sizes[-1]
-    return sizes
+    return BatchSolver(grid, spec, extended).values(X)
 
 
 def _mc_mean(evaluate: Callable[[np.ndarray], np.ndarray],
              dist: DistributionSpec, n_samples: int, rng: RngStream,
              chunk: int, threads: int = 1) -> ErrorEstimate:
-    # Shards are reduced in index order so the result is bit-stable
-    # regardless of the thread count.
     def run(shard: int, take: int) -> tuple[float, float]:
         xs = dist.sampler(rng.substream(shard), take)
         vals = evaluate(np.asarray(xs, dtype=float))
         return float(vals.sum()), float(vals @ vals)
 
-    sizes = _shard_sizes(n_samples, chunk)
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, range(len(sizes)), sizes))
-    else:
-        parts = [run(s, take) for s, take in enumerate(sizes)]
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in parts:
-        total += s
-        total_sq += s2
-    mean = total / n_samples
-    var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
-    return ErrorEstimate(mean, math.sqrt(var / n_samples), n_samples)
+    total, total_sq = shard_reduce(n_samples, chunk, threads, run)
+    return ErrorEstimate(*mean_and_se(total, total_sq, n_samples), n_samples)
+
+
+def mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
+    """Sample mean and its standard error from a sum and sum of squares."""
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 def mc_dq_error(grid: Grid, dist: DistributionSpec, spec: NormSpec,
@@ -197,7 +100,7 @@ def mc_dq_error(grid: Grid, dist: DistributionSpec, spec: NormSpec,
         raise ValueError("need at least two samples")
     if dist.dim != grid.dim:
         raise ValueError("distribution and grid dimensions differ")
-    return _mc_mean(_batch_evaluator(grid, spec, extended),
+    return _mc_mean(BatchSolver(grid, spec, extended).values,
                     dist, n_samples, rng, chunk, threads)
 
 

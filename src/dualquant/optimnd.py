@@ -17,18 +17,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .delaunay import batch_solve, dq_solve_delaunay, triangulate
+from .batch import BatchSolver, shard_reduce
+from .delaunay import dq_solve_delaunay, triangulate
 from .distributions import DistributionSpec
 from .errors import FlatGridError, InfeasibleError, NonDifferentiableError
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec
 from .lp import is_nondegenerate, local_dq_solve
-from .metrics import DEFAULT_CHUNK, ErrorEstimate, mc_dq_error
+from .metrics import DEFAULT_CHUNK, mc_dq_error
 from .rng import RngStream
 from .splitting import nn_project
 
 _PROBE_STREAM = 0x7FFFFFFF  # substream reserved for degeneracy probes
+_GRADIENT_ROWS = 4096  # rows per solve in a gradient shard: bounds memory
 
 
 @dataclass(frozen=True)
@@ -87,23 +88,33 @@ def cvlq_step(grid: Grid, xi, alpha: float,
     """
     if not spec.is_euclidean_quadratic:
         raise ValueError("the update needs the Euclidean norm with p = 2")
-    xi = np.asarray(xi, dtype=float).reshape(-1)
     pts = grid.points.copy()
+    _lp_update(pts, grid.pinned, np.asarray(xi, dtype=float).reshape(-1),
+               alpha, tri)
+    return grid.with_points(pts)
+
+
+def _lp_update(pts: np.ndarray, pinned, xi: np.ndarray, alpha: float,
+               tri=None) -> int:
+    """LP-route update of ``pts`` in place; returns 1 when xi was outside
+    the hull (nearest-neighbour pull applied), else 0.  A triangulation
+    of the planar points, when given, replaces the LP."""
+    g = Grid(pts)
     try:
-        if tri is not None and grid.dim == 2:
-            sol = dq_solve_delaunay(grid, tri, xi, spec)
+        if tri is not None:
+            sol = dq_solve_delaunay(g, tri, xi, EUCLIDEAN_QUADRATIC)
         else:
-            sol = local_dq_solve(grid, xi, spec)
+            sol = local_dq_solve(g, xi, EUCLIDEAN_QUADRATIC)
     except InfeasibleError:
-        j = nn_project(grid, xi, spec)
-        if j not in grid.pinned:
+        j = nn_project(g, xi, EUCLIDEAN_QUADRATIC)
+        if j not in pinned:
             pts[j] -= alpha * (pts[j] - xi)
-        return grid.with_points(pts)
+        return 1
     z = sol.z_star()
     for idx, w in zip(sol.basis, sol.weights):
-        if idx not in grid.pinned:
+        if idx not in pinned:
             pts[idx] -= alpha * float(w) * (pts[idx] - z)
-    return grid.with_points(pts)
+    return 0
 
 
 def _init_points(dist: DistributionSpec, n: int, anchors: np.ndarray,
@@ -204,29 +215,6 @@ def _walk(tris, nbrs, xs, ys, t0: int, px: float, py: float) -> int:
     return -2
 
 
-def _lp_update(xs, ys, pin, px: float, py: float, alpha: float) -> int:
-    """LP-route update on the live coordinates; returns 1 when the
-    sample was outside the hull (nearest-neighbour pull applied)."""
-    g = Grid(np.column_stack([xs, ys]))
-    xi = np.array([px, py])
-    try:
-        sol = local_dq_solve(g, xi, EUCLIDEAN_QUADRATIC)
-    except InfeasibleError:
-        j = nn_project(g, xi, EUCLIDEAN_QUADRATIC)
-        if not pin[j]:
-            xs[j] -= alpha * (xs[j] - px)
-            ys[j] -= alpha * (ys[j] - py)
-        return 1
-    z = sol.z_star()
-    zx, zy = float(z[0]), float(z[1])
-    for idx, w in zip(sol.basis, sol.weights):
-        if not pin[idx]:
-            w = float(w)
-            xs[idx] -= alpha * w * (xs[idx] - zx)
-            ys[idx] -= alpha * w * (ys[idx] - zy)
-    return 0
-
-
 def _train_plane(pts, pinned, dist, cfg, sample_stream, record):
     n = len(pts)
     xs = pts[:, 0].tolist()
@@ -302,7 +290,9 @@ def _train_plane(pts, pinned, dist, cfg, sample_stream, record):
                 else:
                     t = -2
             if t < 0:
-                outside += _lp_update(xs, ys, pin, px, py, alpha)
+                live = np.column_stack([xs, ys])
+                outside += _lp_update(live, pinned, np.array([px, py]), alpha)
+                xs[:], ys[:] = live[:, 0].tolist(), live[:, 1].tolist()
             k += 1
     return np.column_stack([xs, ys]), outside
 
@@ -317,20 +307,8 @@ def _train_lp(pts, pinned, dist, cfg, sample_stream, record):
         for m in range(take):
             if cfg.trace_every and k % cfg.trace_every == 0:
                 record(k, coords.copy())
-            xi = batch[m]
-            alpha = cfg.a / (cfg.b + k)
-            g = Grid(coords)
-            try:
-                sol = local_dq_solve(g, xi, EUCLIDEAN_QUADRATIC)
-                z = sol.z_star()
-                for idx, w in zip(sol.basis, sol.weights):
-                    if idx not in pinned:
-                        coords[idx] -= alpha * float(w) * (coords[idx] - z)
-            except InfeasibleError:
-                j = nn_project(g, xi, EUCLIDEAN_QUADRATIC)
-                if j not in pinned:
-                    coords[j] -= alpha * (coords[j] - xi)
-                outside += 1
+            outside += _lp_update(coords, pinned, batch[m],
+                                  cfg.a / (cfg.b + k))
             k += 1
     return coords, outside
 
@@ -357,11 +335,12 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
                 chunk: int = DEFAULT_CHUNK):
     """Monte Carlo gradient of the extended mean error power, shape (n, d).
 
-    Interior samples contribute lam_i (p ||xi-x_i||^{p-2} (x_i-xi) - u1)
-    on their basis rows, which is 2 lam_i (x_i - z*) in the quadratic
-    case; exterior samples pull their nearest neighbour.  Shards reduce
-    in index order and draw from numbered substreams, so the estimate
-    never consumes the parent stream.
+    Every sample contributes lam_i (p ||xi-x_i||^{p-2} (x_i-xi) - u1)
+    on its basis rows, which is 2 lam_i (x_i - z*) in the quadratic
+    case.  An exterior sample's basis is its nearest neighbour alone
+    (lam = 1, u1 = 0), so the same formula pulls that point toward it.
+    Shards reduce in index order and draw from numbered substreams, so
+    the estimate never consumes the parent stream.
     """
     if spec.kind != "l2" or spec.p < 2:
         raise NonDifferentiableError(
@@ -372,105 +351,30 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
         raise ValueError("distribution and grid dimensions differ")
     _degeneracy_probe(grid, dist, spec, rng)
 
-    n, d = grid.n, grid.dim
-    gsum = np.zeros((n, d))
-    gsq = np.zeros((n, d))
+    n, d, p = grid.n, grid.dim, spec.p
+    solver = BatchSolver(grid, spec, extended=True)
 
-    if d == 2 and spec.is_euclidean_quadratic:
-        tri = triangulate(grid)
-        z, _ = tri.power_data()
-        tri_arr = np.asarray(tri.triangles)
-        T = len(tri_arr)
-        tree = cKDTree(grid.points)
-        P = grid.points
-        lam_sum = np.zeros((T, 3))
-        lam_sq = np.zeros((T, 3))
+    def shard(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        X = np.asarray(dist.sampler(rng.substream(k), m), float)
+        gs, gq = np.zeros((n, d)), np.zeros((n, d))
+        for s in range(0, m, _GRADIENT_ROWS):
+            Xb = X[s:s + _GRADIENT_ROWS]
+            sol = solver.solve(Xb)
+            diff = grid.points[sol.basis] - Xb[:, None, :]
+            r = np.sqrt(np.sum(diff * diff, axis=-1, keepdims=True))
+            vec = sol.weights[..., None] * (p * r ** (p - 2.0) * diff
+                                            - sol.u1[:, None, :])
+            idx, vec = sol.basis.ravel(), vec.reshape(-1, d)
+            np.add.at(gs, idx, vec)
+            np.add.at(gq, idx, vec ** 2)
+        return gs, gq
 
-        def shard(X: np.ndarray) -> None:
-            tidx, lam = batch_solve(tri, X)
-            inside = tidx >= 0
-            np.add.at(lam_sum, tidx[inside], lam[inside])
-            np.add.at(lam_sq, tidx[inside], lam[inside] ** 2)
-            if not np.all(inside):
-                Xo = X[~inside]
-                _, js = tree.query(Xo)
-                vec = 2.0 * (P[js] - Xo)
-                np.add.at(gsum, js, vec)
-                np.add.at(gsq, js, vec ** 2)
-
-        _for_each_shard(dist, n_samples, rng, chunk, shard)
-        # constant pull 2(x_v - z_t) per (triangle, slot) pair
-        vecs = 2.0 * (P[tri_arr] - z[:, None, :])
-        np.add.at(gsum, tri_arr.ravel(),
-                  (vecs * lam_sum[:, :, None]).reshape(-1, d))
-        np.add.at(gsq, tri_arr.ravel(),
-                  (vecs ** 2 * lam_sq[:, :, None]).reshape(-1, d))
-    elif d == 1 and spec.is_euclidean_quadratic:
-        order = np.argsort(grid.points[:, 0])
-        xs = grid.points[order, 0]
-
-        def shard(X: np.ndarray) -> None:
-            q = X[:, 0]
-            inside = (q >= xs[0]) & (q <= xs[-1])
-            qi = q[inside]
-            j = np.clip(np.searchsorted(xs, qi, side="right"), 1,
-                        len(xs) - 1)
-            gap = xs[j] - xs[j - 1]
-            lam_l = (xs[j] - qi) / gap
-            lam_r = (qi - xs[j - 1]) / gap
-            # 2 lam (x - z) with z the segment midpoint
-            np.add.at(gsum[:, 0], order[j - 1], -lam_l * gap)
-            np.add.at(gsq[:, 0], order[j - 1], (lam_l * gap) ** 2)
-            np.add.at(gsum[:, 0], order[j], lam_r * gap)
-            np.add.at(gsq[:, 0], order[j], (lam_r * gap) ** 2)
-            qo = q[~inside]
-            if qo.size:
-                lo_side = qo < xs[0]
-                js = np.where(lo_side, order[0], order[-1])
-                vec = 2.0 * (grid.points[js, 0] - qo)
-                np.add.at(gsum[:, 0], js, vec)
-                np.add.at(gsq[:, 0], js, vec ** 2)
-
-        _for_each_shard(dist, n_samples, rng, chunk, shard)
-    else:
-
-        def shard(X: np.ndarray) -> None:
-            p = spec.p
-            for x in X:
-                try:
-                    sol = local_dq_solve(grid, x, spec)
-                except InfeasibleError:
-                    jn = nn_project(grid, x, spec)
-                    r = float(np.linalg.norm(x - grid.points[jn]))
-                    vec = p * r ** (p - 2.0) * (grid.points[jn] - x)
-                    gsum[jn] += vec
-                    gsq[jn] += vec ** 2
-                    continue
-                u1 = sol.u_spatial
-                for idx, w in zip(sol.basis, sol.weights):
-                    xi_v = grid.points[idx]
-                    r = float(np.linalg.norm(x - xi_v))
-                    vec = float(w) * (p * r ** (p - 2.0) * (xi_v - x) - u1)
-                    gsum[idx] += vec
-                    gsq[idx] += vec ** 2
-
-        _for_each_shard(dist, n_samples, rng, chunk, shard)
-
+    gsum, gsq = shard_reduce(n_samples, chunk, 1, shard)
     grad = gsum / n_samples
     if return_std:
         var = np.maximum(gsq - n_samples * grad ** 2, 0.0) / (n_samples - 1)
         return grad, np.sqrt(var / n_samples)
     return grad
-
-
-def _for_each_shard(dist, n_samples, rng, chunk, fn) -> None:
-    done = 0
-    shard = 0
-    while done < n_samples:
-        take = min(chunk, n_samples - done)
-        fn(np.asarray(dist.sampler(rng.substream(shard), take), float))
-        done += take
-        shard += 1
 
 
 def refine(grid: Grid, dist: DistributionSpec, iters: int = 5,

@@ -5,24 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualquant.errors import (
-    DegenerateGeometryError,
-    GridFormatError,
-    NonDifferentiableError,
-)
+from dualquant.errors import DegenerateGeometryError, GridFormatError
 from dualquant.geometry import (
-    EUCLIDEAN_QUADRATIC,
     Grid,
     NormSpec,
-    affine_basis,
-    barycentric_solve,
     circumcenter,
-    diameter,
     in_convex_hull,
     is_affine_basis,
     load_grid,
-    norm_p_gradient,
-    norm_value,
+    norm_value_batch,
     save_grid,
 )
 
@@ -30,63 +21,14 @@ seed = 20260817
 
 
 def test_norm_value_examples():
-    assert norm_value([3.0, 4.0], NormSpec("l2", 2)) == pytest.approx(25.0, abs=0)
-    assert norm_value([1.0, -2.0], NormSpec("l1", 1)) == pytest.approx(3.0, abs=0)
-    assert norm_value([1.0, -2.0], NormSpec("linf", 2)) == pytest.approx(4.0)
-    assert norm_value([0.0, 0.0], NormSpec("l2", 3)) == 0.0
-
-
-def test_norm_gradient_examples():
-    g = norm_p_gradient([1.0, 0.0], NormSpec("l2", 3))
-    assert np.allclose(g, [3.0, 0.0], atol=1e-14)
-    assert np.allclose(norm_p_gradient([0.0, 0.0], NormSpec("l2", 2)), 0.0)
-
-
-@pytest.mark.parametrize(
-    "x,spec",
-    [
-        ([0.0, 1.0], NormSpec("l1", 2)),
-        ([1.0, 1.0], NormSpec("linf", 2)),
-        ([0.0, 0.0], NormSpec("l2", 1.5)),
-        ([0.0, 0.0], NormSpec("linf", 1)),
-    ],
-)
-def test_norm_gradient_kinks_raise(x, spec):
-    with pytest.raises(NonDifferentiableError):
-        norm_p_gradient(x, spec)
-
-
-def _fd_gradient(x, spec, h=1e-5):
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (norm_value(x + e, spec) - norm_value(x - e, spec)) / (2 * h)
-    return g
-
-
-@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-def test_norm_gradient_matches_central_differences(kind, p):
-    # random smooth points: keep coordinates away from kinks
-    rng = np.random.default_rng(seed)
-    spec = NormSpec(kind, p)
-    checked = 0
-    while checked < 100:
-        x = rng.uniform(-2, 2, size=3)
-        if np.min(np.abs(x)) < 0.1:
-            continue
-        a = np.abs(x)
-        top = np.sort(a)[-2:]
-        if top[1] - top[0] < 0.1:  # keep linf argmax well separated
-            continue
-        if kind == "l2" and p < 2 and np.linalg.norm(x) < 0.1:
-            continue
-        g = norm_p_gradient(x, spec)
-        fd = _fd_gradient(x, spec)
-        assert np.linalg.norm(g - fd) <= 1e-5 * (1 + np.linalg.norm(g))
-        checked += 1
+    rows = [[3.0, 4.0], [1.0, -2.0], [1.0, -2.0], [0.0, 0.0]]
+    specs = [NormSpec("l2", 2), NormSpec("l1", 1), NormSpec("linf", 2),
+             NormSpec("l2", 3)]
+    want = [25.0, 3.0, 4.0, 0.0]
+    for row, spec, w in zip(rows, specs, want):
+        assert norm_value_batch([row], spec)[0] == pytest.approx(w, abs=0)
+    both = norm_value_batch(rows[:2], NormSpec("l2", 2))
+    assert both.tolist() == [25.0, 5.0]
 
 
 @given(
@@ -99,9 +41,8 @@ def test_norm_gradient_matches_central_differences(kind, p):
 def test_norm_value_homogeneous_and_nonnegative(xs, t, kind, p):
     spec = NormSpec(kind, p)
     x = np.asarray(xs)
-    v = norm_value(x, spec)
+    v, scaled = norm_value_batch([x, t * x], spec)
     assert v >= 0.0
-    scaled = norm_value(t * x, spec)
     assert scaled == pytest.approx(abs(t) ** p * v, rel=1e-12, abs=1e-12)
 
 
@@ -130,31 +71,6 @@ def test_is_affine_basis_examples():
     assert not is_affine_basis(collinear, (0, 1, 2))
     assert not is_affine_basis(square, (0, 1, 1))  # repeated index
     assert not is_affine_basis(square, (0, 1, 9))  # out of range
-
-
-def test_barycentric_unit_simplex():
-    g = Grid([[0, 0], [1, 0], [0, 1]])
-    basis = affine_basis(g, (0, 1, 2))
-    lam = barycentric_solve(basis, np.array([1 / 3, 1 / 3]))
-    assert np.allclose(lam, [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
-
-
-def test_barycentric_reproduces_point_and_affine_functions():
-    rng = np.random.default_rng(seed)
-    for d in (1, 2, 3):
-        pts = rng.normal(size=(d + 1, d)) * 3
-        g = Grid(pts)
-        basis = affine_basis(g, range(d + 1))
-        a = rng.normal(size=d)
-        b0 = rng.normal()
-        for _ in range(25):
-            xi = rng.normal(size=d) * 2  # inside or outside; solve is affine
-            lam = barycentric_solve(basis, xi)
-            rec = lam @ pts
-            assert np.linalg.norm(rec - xi) <= 1e-10 * (1 + np.linalg.norm(xi))
-            assert abs(lam.sum() - 1.0) <= 1e-10
-            # affine reproduction: weights reproduce any affine function
-            assert lam @ (pts @ a + b0) == pytest.approx(xi @ a + b0, abs=1e-9)
 
 
 def test_in_convex_hull():
@@ -197,14 +113,6 @@ def test_circumcenter_equidistance_random(d):
             continue
         dev = max(abs(np.linalg.norm(z - p) - r) for p in pts)
         assert dev <= 1e-9 * (1 + r)
-
-
-def test_diameter():
-    square = Grid([[0, 0], [1, 0], [0, 1], [1, 1]])
-    assert diameter(square, NormSpec("l2", 2)) == pytest.approx(math.sqrt(2))
-    assert diameter(square, NormSpec("l1", 2)) == pytest.approx(2.0)
-    assert diameter(square, NormSpec("linf", 2)) == pytest.approx(1.0)
-    assert diameter(Grid([[3.0, 7.0]]), EUCLIDEAN_QUADRATIC) == 0.0
 
 
 @pytest.mark.parametrize("ext", [".json", ".csv"])
