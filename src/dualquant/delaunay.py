@@ -11,18 +11,21 @@ power function lower-bounds F^2 anywhere in the hull.  The batch
 evaluator below maximizes that power over all triangles, which is the
 same dual certificate the LP produces, vectorized.
 
-Construction is incremental (Bowyer-Watson) with a tolerance-aware
-in-circle predicate; near-cocircular quads are resolved toward the
-diagonal with the lexicographically smallest sorted index pair, so the
-triangulation is deterministic for a fixed point order.
+Construction runs Qhull (``scipy.spatial.Delaunay``) with the fixed
+options ``Qbb Qc Qz Q12`` (scipy adds ``Qt``) and never ``QJ``, so no
+joggle enters the mesh.  Its triangles are then put in canonical order
+and near-cocircular quads are resolved toward the diagonal with the
+lexicographically smallest sorted index pair, by a tolerance-aware
+in-circle predicate; the triangulation is deterministic for a fixed
+point order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import Delaunay, QhullError
 
 from .errors import FlatGridError, InfeasibleError
 from .geometry import Grid, NormSpec
@@ -32,16 +35,21 @@ from .lp import LocalSolution
 COCIRCULAR_EPS = 1e-12
 # Edge containment slack for location, as a signed distance factor.
 EDGE_TOL = 1e-9
+QHULL_OPTIONS = "Qbb Qc Qz Q12"
 
 
 def orient2d(ax, ay, bx, by, cx, cy) -> float:
-    """Twice the signed area of (a, b, c); positive when CCW."""
+    """Twice the signed area of (a, b, c); positive when CCW.
+
+    Coordinates may be floats or equal-length arrays (one triangle each).
+    """
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def incircle_det(pa, pb, pc, pd) -> float:
     """In-circle determinant: positive iff pd lies strictly inside the
-    circumcircle of the CCW triangle (pa, pb, pc)."""
+    circumcircle of the CCW triangle (pa, pb, pc).  Points are (x, y)
+    pairs, or (2, m) arrays for m quads at once."""
     adx, ady = pa[0] - pd[0], pa[1] - pd[1]
     bdx, bdy = pb[0] - pd[0], pb[1] - pd[1]
     cdx, cdy = pc[0] - pd[0], pc[1] - pd[1]
@@ -57,7 +65,8 @@ def incircle_det(pa, pb, pc, pd) -> float:
 
 def incircle_eps(pa, pb, pc, pd) -> float:
     """Magnitude scale of the in-circle determinant times the relative
-    epsilon; determinants below this are treated as cocircular."""
+    epsilon; determinants below this are treated as cocircular.  Both
+    scale as length^4, so the test does not depend on units."""
     adx, ady = abs(pa[0] - pd[0]), abs(pa[1] - pd[1])
     bdx, bdy = abs(pb[0] - pd[0]), abs(pb[1] - pd[1])
     cdx, cdy = abs(pc[0] - pd[0]), abs(pc[1] - pd[1])
@@ -69,7 +78,7 @@ def incircle_eps(pa, pb, pc, pd) -> float:
         + blift * (cdx * ady + adx * cdy)
         + clift * (adx * bdy + bdx * ady)
     )
-    return COCIRCULAR_EPS * (perm + 1.0)
+    return COCIRCULAR_EPS * perm
 
 
 def _circumcircle2d(ax, ay, bx, by, cx, cy):
@@ -100,6 +109,9 @@ class Triangulation:
     triangles: list[tuple[int, int, int]]
     neighbors: list[tuple[int, int, int]]
     _power: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    # the Qhull mesh and, per Qhull simplex, a canonical triangle to walk from
+    _qhull: tuple[Delaunay, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def n_triangles(self) -> int:
@@ -137,181 +149,109 @@ class Triangulation:
         return out
 
 
-def _canonical_triangles(coords, tris):
-    """Rotate each CCW triple to start at its smallest vertex, sort the
-    list, and build the adjacency table."""
-    canon = []
-    for (i, j, k) in tris:
-        # enforce CCW with exact sign of the area
-        if orient2d(*coords[i], *coords[j], *coords[k]) < 0:
-            j, k = k, j
-        m = min(i, j, k)
-        if i == m:
-            canon.append((i, j, k))
-        elif j == m:
-            canon.append((j, k, i))
-        else:
-            canon.append((k, i, j))
-    canon.sort()
-    edge_map = {}
-    for t, (i, j, k) in enumerate(canon):
-        for a, b in ((i, j), (j, k), (k, i)):
-            edge_map[(a, b)] = t
-    neighbors = []
-    for (i, j, k) in canon:
-        nbr = []
-        for a, b in ((j, k), (k, i), (i, j)):  # edge opposite each vertex
-            nbr.append(edge_map.get((b, a), -1))
-        neighbors.append(tuple(nbr))
-    return canon, neighbors
+def _canonical_triangles(P, tris):
+    """Orient each triple CCW, rotate it to start at its smallest vertex,
+    sort the rows, and build the adjacency table; both (T, 3) arrays."""
+    tris = np.array(tris, dtype=np.intp)
+    # enforce CCW with the exact sign of the area
+    a, b, c = (P[tris[:, k]].T for k in range(3))
+    cw = orient2d(*a, *b, *c) < 0
+    tris[cw] = tris[cw][:, [0, 2, 1]]
+    first = np.argmin(tris, axis=1)[:, None]
+    tris = np.take_along_axis(tris, (first + np.arange(3)) % 3, axis=1)
+    tris = tris[np.lexsort(tris.T[::-1])]
+    # the directed edge opposite vertex k is (v[k+1], v[k+2]); the
+    # neighbor across it holds the reverse edge
+    n = len(P)
+    head, tail = tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()
+    keys = head * n + tail
+    order = np.argsort(keys)
+    want = tail * n + head
+    pos = np.minimum(np.searchsorted(keys[order], want), len(keys) - 1)
+    found = keys[order[pos]] == want
+    neighbors = np.where(found, order[pos] // 3, -1).reshape(-1, 3)
+    return tris, neighbors
 
 
 def triangulate(grid) -> Triangulation:
-    """Delaunay triangulation of a 2D grid (Bowyer-Watson insertion)."""
+    """Delaunay triangulation of a 2D grid (Qhull, then canonical ties)."""
     if isinstance(grid, Grid):
         pts = grid.points
     else:
         pts = np.asarray(grid, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("triangulate expects an (n, 2) point array")
-    n = pts.shape[0]
-    if n < 3:
+    if pts.shape[0] < 3:
         raise FlatGridError("need at least three points to triangulate")
-
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    center = (lo + hi) / 2.0
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1.0))
-    R = 64.0 * span
-    coords = [(float(x), float(y)) for x, y in pts]
-    coords.append((center[0] - 2.0 * R, center[1] - R))
-    coords.append((center[0] + 2.0 * R, center[1] - R))
-    coords.append((center[0], center[1] + 2.0 * R))
-    s0, s1, s2 = n, n + 1, n + 2
-
-    # Super vertices act as points at infinity: a triangle touching one
-    # uses the limit of its circumdisk (a half-plane), not the finite
-    # circle, whose inward bulge would swallow points that sit close to
-    # a hull edge and punch slivers out of the triangulation.
-    dirs = {}
-    for s in (s0, s1, s2):
-        dx, dy = coords[s][0] - center[0], coords[s][1] - center[1]
-        h = math.hypot(dx, dy)
-        dirs[s] = (dx / h, dy / h)
-    line_eps = 1e-12 * span
-
-    def is_bad(verts, p) -> bool:
-        i, j, k = verts
-        n_super = (i >= n) + (j >= n) + (k >= n)
-        if n_super == 0:
-            det = incircle_det(coords[i], coords[j], coords[k], p)
-            return det > incircle_eps(coords[i], coords[j], coords[k], p)
-        if n_super == 3:
-            return True
-        if n_super == 1:
-            # drop the super vertex, keeping the CCW cyclic order; the
-            # limit circumdisk is the open half-plane on its side
-            if i >= n:
-                a, b = j, k
-            elif j >= n:
-                a, b = k, i
-            else:
-                a, b = i, j
-            pa, pb = coords[a], coords[b]
-            return (orient2d(pa[0], pa[1], pb[0], pb[1], p[0], p[1])
-                    > line_eps * _elen(pa, pb))
-        # two super vertices: half-plane through the real vertex with
-        # normal along the sum of the two unit super directions
-        if i < n:
-            a, si, sj = i, j, k
-        elif j < n:
-            a, si, sj = j, k, i
-        else:
-            a, si, sj = k, i, j
-        bx = dirs[si][0] + dirs[sj][0]
-        by = dirs[si][1] + dirs[sj][1]
-        pa = coords[a]
-        return (p[0] - pa[0]) * bx + (p[1] - pa[1]) * by > line_eps
-
-    tris = [(s0, s1, s2)]
-    for ip in range(n):
-        p = coords[ip]
-        bad = [t for t, verts in enumerate(tris) if is_bad(verts, p)]
-        if not bad:
-            # p is cocircular-or-outside everywhere; fall back to the
-            # containing triangle so insertion always proceeds
-            for t, (i, j, k) in enumerate(tris):
-                o1 = orient2d(*coords[i], *coords[j], *p)
-                o2 = orient2d(*coords[j], *coords[k], *p)
-                o3 = orient2d(*coords[k], *coords[i], *p)
-                if o1 >= 0 and o2 >= 0 and o3 >= 0:
-                    bad = [t]
-                    break
-        if not bad:
-            raise FlatGridError("insertion point escaped the super-triangle")
-        bad_set = set(bad)
-        directed = set()
-        for t in bad:
-            i, j, k = tris[t]
-            directed.update([(i, j), (j, k), (k, i)])
-        cavity = []
-        for t in bad:
-            i, j, k = tris[t]
-            for a, b in ((i, j), (j, k), (k, i)):
-                if (b, a) not in directed:
-                    cavity.append((a, b))
-        tris = [t for idx, t in enumerate(tris) if idx not in bad_set]
-        for a, b in cavity:
-            tris.append((a, b, ip))
-
-    tris = [t for t in tris if all(v < n for v in t)]
-    if not tris:
-        raise FlatGridError("grid points are collinear")
-    canon, neighbors = _canonical_triangles(coords, tris)
-    tri = Triangulation(np.asarray(pts, dtype=float), canon, neighbors)
-    _resolve_cocircular_diagonals(tri)
-    return tri
+    try:
+        qhull = Delaunay(pts, qhull_options=QHULL_OPTIONS)
+    except QhullError as exc:
+        reason = str(exc).strip().splitlines()[0]
+        raise FlatGridError(f"grid points do not span the plane ({reason})") from exc
+    if len(qhull.coplanar):
+        raise FlatGridError(
+            "grid points too close to tell apart: Qhull left point "
+            f"{int(qhull.coplanar[0, 0])} out of the triangulation")
+    tris, nbrs = _resolve_cocircular_diagonals(
+        pts, *_canonical_triangles(pts, qhull.simplices))
+    starts = _walk_starts(qhull.simplices, tris, len(pts))
+    return Triangulation(pts, list(map(tuple, tris.tolist())),
+                         list(map(tuple, nbrs.tolist())), _qhull=(qhull, starts))
 
 
-def _resolve_cocircular_diagonals(tri: Triangulation) -> None:
-    """Flip near-cocircular quads toward the smallest sorted diagonal."""
-    coords = tri.points
-    for _ in range(4 * len(tri.triangles) + 4):
-        flipped = False
-        for t1 in range(len(tri.triangles)):
-            verts = tri.triangles[t1]
-            for e in range(3):
-                t2 = tri.neighbors[t1][e]
-                if t2 <= t1:
-                    continue
-                a, b = verts[(e + 1) % 3], verts[(e + 2) % 3]
-                c = verts[e]
-                other = tri.triangles[t2]
-                d = next(v for v in other if v not in (a, b))
-                det = incircle_det(coords[verts[0]], coords[verts[1]], coords[verts[2]], coords[d])
-                eps = incircle_eps(coords[verts[0]], coords[verts[1]], coords[verts[2]], coords[d])
-                if abs(det) > eps:
-                    continue
-                if tuple(sorted((c, d))) >= tuple(sorted((a, b))):
-                    continue
-                # strictly convex quad is required for a valid flip
-                o1 = orient2d(*coords[c], *coords[d], *coords[a])
-                o2 = orient2d(*coords[c], *coords[d], *coords[b])
-                if o1 * o2 >= 0:
-                    continue
-                new = [tt for i, tt in enumerate(tri.triangles) if i not in (t1, t2)]
-                new.append((c, d, a))
-                new.append((d, c, b))
-                canon, neighbors = _canonical_triangles(coords, new)
-                tri.triangles = canon
-                tri.neighbors = neighbors
-                tri._power = None
-                flipped = True
-                break
-            if flipped:
-                break
-        if not flipped:
-            return
+def _walk_starts(simplices, tris, n):
+    """Per Qhull simplex, the canonical triangle with the same vertices;
+    a simplex the cocircular pass flipped away maps to a triangle at its
+    first vertex, a few steps from its own."""
+    def keys(t):
+        t = np.sort(t, axis=1)
+        return (t[:, 0] * n + t[:, 1]) * n + t[:, 2]
+
+    ours = keys(tris)
+    order = np.argsort(ours)
+    theirs = keys(simplices)
+    pos = np.minimum(np.searchsorted(ours[order], theirs), len(ours) - 1)
+    at_vertex = np.empty(n, dtype=np.intp)
+    at_vertex[tris.ravel()] = np.repeat(np.arange(len(tris)), 3)
+    return np.where(ours[order[pos]] == theirs, order[pos],
+                    at_vertex[simplices[:, 0]])
+
+
+def _resolve_cocircular_diagonals(P, tris, nbrs):
+    """Flip near-cocircular quads toward the smallest sorted diagonal.
+
+    Each round tests every interior edge at once, flips the quads that
+    call for it (in scan order, skipping a quad that shares a triangle
+    with an earlier flip) and re-canonicalizes; a round with no flip
+    ends the pass.
+    """
+    for _ in range(4 * len(tris) + 4):
+        t1, e = np.nonzero(nbrs > np.arange(len(tris))[:, None])
+        t2 = nbrs[t1, e]
+        c, a, b = tris[t1, e], tris[t1, (e + 1) % 3], tris[t1, (e + 2) % 3]
+        d = tris[t2].sum(axis=1) - a - b
+        quad = [P[tris[t1, k]].T for k in range(3)] + [P[d].T]
+        det, eps = incircle_det(*quad), incircle_eps(*quad)
+        lo_cd, hi_cd = np.minimum(c, d), np.maximum(c, d)
+        lo_ab, hi_ab = np.minimum(a, b), np.maximum(a, b)
+        smaller = (lo_cd < lo_ab) | ((lo_cd == lo_ab) & (hi_cd < hi_ab))
+        flip = (np.abs(det) <= eps) & smaller
+        # a strictly convex quad is required for a valid flip
+        pc, pd = P[c].T, P[d].T
+        flip &= (np.sign(orient2d(*pc, *pd, *P[a].T))
+                 * np.sign(orient2d(*pc, *pd, *P[b].T)) < 0)
+        if not flip.any():
+            break
+        used, new = set(), []
+        for q in np.flatnonzero(flip):
+            if t1[q] in used or t2[q] in used:
+                continue
+            used.update((t1[q], t2[q]))
+            new += [(c[q], d[q], a[q]), (d[q], c[q], b[q])]
+        keep = np.ones(len(tris), dtype=bool)
+        keep[list(used)] = False
+        tris, nbrs = _canonical_triangles(P, np.vstack([tris[keep], new]))
+    return tris, nbrs
 
 
 def locate(tri: Triangulation, xi, hint: int | None = None) -> int | None:
@@ -444,90 +384,102 @@ def batch_values(tri: Triangulation, X) -> np.ndarray:
     return vals
 
 
+def _edge_table(P, tris):
+    """Edge k of triangle t, opposite its vertex k and directed CCW, is
+    the flat edge 3t + k; per flat edge: start point, vector, L1 length."""
+    a = P[tris[:, [1, 2, 0]]].reshape(-1, 2)
+    e = P[tris[:, [2, 0, 1]]].reshape(-1, 2) - a
+    elen = np.abs(e[:, 0]) + np.abs(e[:, 1]) + 1e-30
+    return a[:, 0], a[:, 1], e[:, 0], e[:, 1], elen
+
+
+def _edges_hold(table, X, edges) -> np.ndarray:
+    """Flags shaped like ``edges`` (m, k): row r of X is on the inner
+    side of flat edge edges[r, j], within ``locate``'s tolerance and with
+    its arithmetic."""
+    ax, ay, ex, ey, elen = (col[edges] for col in table)
+    x, y = X[:, :1], X[:, 1:]
+    tol = EDGE_TOL * (1.0 + np.abs(x) + np.abs(y))
+    return ex * (y - ay) - ey * (x - ax) >= -tol * elen
+
+
+def _locate_rows(tri, mesh, X) -> np.ndarray:
+    """``locate`` for every row of X (rows inside the hull); -1 where the
+    walk leaves the mesh."""
+    tris, nbrs, table, twin = mesh
+    T = len(tris)
+    own = 3 * np.arange(T)[:, None] + np.arange(3)
+    t = np.zeros(len(X), dtype=np.intp)
+    if tri._qhull is not None:
+        qhull, starts = tri._qhull
+        s = qhull.find_simplex(X)
+        t[s >= 0] = starts[s[s >= 0]]
+
+    # locate's walk, all rows at once: cross the first violated edge,
+    # testing (i, j), (j, k), (k, i) in turn
+    live = np.arange(len(X))
+    for _ in range(4 * T + 8):
+        if live.size == 0:
+            break
+        held = _edges_hold(table, X[live], own[t[live]])[:, [2, 0, 1]]
+        moving = ~held.all(axis=1)
+        k = (np.argmin(held, axis=1)[moving] + 2) % 3
+        live = live[moving]
+        t[live] = nbrs[t[live], k]
+        live = live[t[live] >= 0]
+    t[live] = -1
+
+    # ties: a neighbor can contain a row only if the row holds on its
+    # side of the shared edge; rows where one does search outward
+    # through the triangles containing them and keep the lowest index
+    hit = np.flatnonzero(t >= 0)
+    near = _edges_hold(table, X[hit], np.maximum(twin[t[hit]], 0))
+    near &= twin[t[hit]] >= 0
+    front_r = hit[near.any(axis=1)]
+    front_t = t[front_r]
+    seen = front_r * T + front_t
+    while front_r.size:
+        r, c = np.repeat(front_r, 3), nbrs[front_t].ravel()
+        key = r * T + c
+        fresh = (c >= 0) & ~np.isin(key, seen)
+        key, first = np.unique(key[fresh], return_index=True)
+        r, c = r[fresh][first], c[fresh][first]
+        seen = np.concatenate([seen, key])
+        holds = _edges_hold(table, X[r], own[c]).all(axis=1)
+        front_r, front_t = r[holds], c[holds]
+        np.minimum.at(t, front_r, front_t)
+    return t
+
+
 def batch_solve(tri: Triangulation, X):
     """Containing triangle and barycentric weights for each row of X.
 
     Returns (tidx, lam): tidx[i] == -1 marks exterior rows (lam zero).
-    Ties on shared edges resolve to the lowest triangle index, matching
-    ``locate``.
+    Qhull's ``find_simplex`` gives each row a start, ``locate``'s walk
+    finishes there, and a row on shared edges or vertices resolves to
+    the lowest-indexed triangle containing it, exactly as ``locate``
+    does.  Every row is solved on its own: the result for a row does not
+    depend on the other rows of X.
     """
     X = np.asarray(X, dtype=float)
-    N = X.shape[0]
     P = tri.points
-    z, r2 = tri.power_data()
-    T = len(tri.triangles)
-
-    # the first triangle of maximal power, 256 rows at a time
-    best_val = np.empty(N)
-    best_t = np.empty(N, dtype=np.int64)
-    for s in range(0, N, 256):
-        rows = slice(s, s + 256)
-        v = (r2 - (X[rows, 0, None] - z[:, 0]) ** 2
-             - (X[rows, 1, None] - z[:, 1]) ** 2)
-        best_t[rows] = np.argmax(v, axis=1)
-        best_val[rows] = v[np.arange(len(v)), best_t[rows]]
-
+    tris, nbrs = np.asarray(tri.triangles), np.asarray(tri.neighbors)
+    # twin[t, k]: the flat edge of neighbor nbrs[t, k] that faces t
+    back = np.argmax(nbrs[nbrs] == np.arange(len(tris))[:, None, None], axis=2)
+    mesh = (tris, nbrs, _edge_table(P, tris),
+            np.where(nbrs >= 0, 3 * nbrs + back, -1))
     inside = hull_mask(tri, X)
-    tidx = np.where(inside, best_t, -1)
-    lam = np.zeros((N, 3))
-
-    scale = 1.0 + float(np.max(np.abs(P)))
-    bary_tol = EDGE_TOL * scale
-
-    verts = np.asarray(tri.triangles)
-    origin = P[verts[:, 2]]
-    inv = np.linalg.inv(np.stack([P[verts[:, 0]] - origin,
-                                  P[verts[:, 1]] - origin], axis=-1))
-
-    def assign(rows, t):
-        rel = X[rows] - origin[t]
-        ab = rel @ inv[t].T
-        l3 = 1.0 - ab[:, 0] - ab[:, 1]
-        full = np.column_stack([ab, l3])
-        good = full.min(axis=1) >= -bary_tol
-        lam[rows[good]] = full[good]
-        return good
-
-    # group the inside rows by triangle, each group in row order: every
-    # triangle then solves the same row block as a scan per triangle
-    unresolved = np.zeros(N, dtype=bool)
-    rows_in = np.flatnonzero(inside)
-    by_t = rows_in[np.argsort(best_t[rows_in], kind="stable")]
-    starts = np.flatnonzero(np.diff(best_t[by_t], prepend=-1))
-    for rows in np.split(by_t, starts[1:]):
-        if rows.size == 0:
-            continue
-        good = assign(rows, best_t[rows[0]])
-        unresolved[rows[~good]] = True
-
-    if unresolved.any():
-        # ties between equal-power triangles (cocircular quads): retry
-        # every triangle whose power matches the max, in index order
-        rows_left = np.flatnonzero(unresolved)
-        val_tol = 1e-9 * (1.0 + np.abs(best_val[rows_left]))
-        for t in range(T):
-            if rows_left.size == 0:
-                break
-            v = r2[t] - (X[rows_left, 0] - z[t, 0]) ** 2 - (X[rows_left, 1] - z[t, 1]) ** 2
-            near = v >= best_val[rows_left] - val_tol
-            cand = rows_left[near]
-            if cand.size == 0:
-                continue
-            good = assign(cand, t)
-            tidx[cand[good]] = t
-            done = np.zeros(rows_left.size, dtype=bool)
-            done[np.flatnonzero(near)[good]] = True
-            rows_left = rows_left[~done]
-            val_tol = val_tol[~done]
-        for r in rows_left:
-            # numerically marginal stragglers: walk for them individually
-            t = locate(tri, X[r])
-            if t is None:
-                tidx[r] = -1
-                continue
-            i, j, k = tri.triangles[t]
-            M = np.vstack([P[[i, j, k]].T, np.ones(3)])
-            w = np.linalg.solve(M, np.array([X[r, 0], X[r, 1], 1.0]))
-            tidx[r] = t
-            lam[r] = w
+    tidx = np.full(X.shape[0], -1, dtype=np.intp)
+    lam = np.zeros((X.shape[0], 3))
+    # blocks of rows bound the temporaries at a few megabytes
+    for start in range(0, X.shape[0], 4096):
+        rows = start + np.flatnonzero(inside[start:start + 4096])
+        t = tidx[rows] = _locate_rows(tri, mesh, X[rows])
+        rows, t = rows[t >= 0], t[t >= 0]
+        a, b, c = (P[tris[t, k]].T for k in range(3))
+        x = X[rows].T
+        area = orient2d(*a, *b, *c)
+        w0 = orient2d(*x, *b, *c) / area
+        w1 = orient2d(*a, *x, *c) / area
+        lam[rows] = np.column_stack([w0, w1, 1.0 - w0 - w1])
     return tidx, lam

@@ -1,0 +1,132 @@
+"""Exactness contracts of the planar Delaunay layer.
+
+The mesh of a seeded grid is pinned by digest, location in a batch
+follows ``locate``'s tie rule and does not depend on the other rows,
+the mesh does not depend on units or origin, and degenerate input
+raises a typed error.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from dualquant.delaunay import batch_solve, locate, triangulate
+from dualquant.errors import FlatGridError
+from dualquant.geometry import Grid
+from dualquant.metrics import product_grid
+
+
+def random_points(seed=64):
+    return np.random.default_rng(seed).uniform(0, 1, size=(64, 2))
+
+
+def ring_points(seed=256):
+    """240 standard normal draws inside a fixed ring of 16 points."""
+    angles = 2.0 * np.pi * np.arange(16) / 16
+    ring = 3.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    x = np.random.default_rng(seed).standard_normal((1000, 2))
+    r_in = 3.0 * np.cos(np.pi / 16)
+    x = x[(x * x).sum(axis=1) < r_in * r_in][:240]
+    return np.vstack([ring, x])
+
+
+def product_points(m):
+    return product_grid(([0.0, 0.0], [1.0, 1.0]), m).points
+
+
+def mesh_digest(tri):
+    h = hashlib.sha256()
+    h.update(np.asarray(tri.triangles, dtype=np.int64).tobytes())
+    h.update(np.asarray(tri.neighbors, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# digests of the Bowyer-Watson meshes the Qhull backend replaced
+GOLDEN = {
+    "random64": (random_points, 115,
+                 "15b176d9cead72708b2c279981fb90d1d801357b6b9dac8ebb60e4de00b20b3a"),
+    "ring256": (ring_points, 494,
+                "221894db9da713c30978a6a3443f223484e5be66ce674cce1d04be7eae6915df"),
+    "product1": (lambda: product_points(1), 2,
+                 "1e40e9b8aee7ea47a07cf8f6a9cb0e375856f5124860e9919d7e61b713406f04"),
+    "product2": (lambda: product_points(2), 8,
+                 "b50731ea60661720e7a54b5e47a0cdb09fb9484e2fc91361efa5f5cd1964985d"),
+    "product4": (lambda: product_points(4), 32,
+                 "98f3fbdea08e5f73b533cc802c8f5dbbef63ab3467feefdba476a96eb58da70f"),
+    "product8": (lambda: product_points(8), 128,
+                 "51a014f45135ce1702c0ae74d22d0f6fab3f24105b1f55858fc082c3ad5c8812"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_mesh_digest_is_pinned(name):
+    make, n_triangles, digest = GOLDEN[name]
+    tri = triangulate(Grid(make()))
+    assert tri.n_triangles == n_triangles
+    assert mesh_digest(tri) == digest
+
+
+def grid_and_edge_points(tri):
+    """Every grid point, and the points 0.3, 0.5 and 0.7 along each edge."""
+    P = tri.points
+    edges = sorted({(min(a, b), max(a, b)) for i, j, k in tri.triangles
+                    for a, b in ((i, j), (j, k), (k, i))})
+    a, b = P[[e[0] for e in edges]], P[[e[1] for e in edges]]
+    along = [(1.0 - w) * a + w * b for w in (0.3, 0.5, 0.7)]
+    return np.vstack([P] + along)
+
+
+@pytest.mark.parametrize("points", [random_points(), product_points(4),
+                                    product_points(8)],
+                         ids=["random64", "product4", "product8"])
+def test_batch_solve_ties_follow_locate(points):
+    tri = triangulate(Grid(points))
+    X = grid_and_edge_points(tri)
+    tidx, _ = batch_solve(tri, X)
+    expect = [locate(tri, x) for x in X]
+    assert tidx.tolist() == [-1 if t is None else t for t in expect]
+
+
+@pytest.mark.parametrize("points", [random_points(), ring_points(),
+                                    product_points(4), product_points(8)],
+                         ids=["random64", "ring256", "product4", "product8"])
+def test_batch_solve_rows_are_independent(points):
+    tri = triangulate(Grid(points))
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    rng = np.random.default_rng(7)
+    X = np.vstack([rng.uniform(lo - 0.1, hi + 0.1, size=(300, 2)),
+                   grid_and_edge_points(tri)[::3]])
+    X = X[rng.permutation(len(X))]
+    tidx, lam = batch_solve(tri, X)
+    for i in range(len(X)):
+        t1, l1 = batch_solve(tri, X[i:i + 1])
+        assert t1[0] == tidx[i]
+        assert np.array_equal(l1[0], lam[i])
+
+
+@pytest.mark.parametrize("points", [random_points(), ring_points(),
+                                    product_points(8)],
+                         ids=["random64", "ring256", "product8"])
+@pytest.mark.parametrize("scale,offset", [(1e-3, 0.0), (1e3, 0.0),
+                                          (1e6, 0.0), (1e3, 1e6)])
+def test_mesh_does_not_depend_on_units_or_origin(points, scale, offset):
+    unit = triangulate(Grid(points))
+    moved = triangulate(Grid(scale * points + offset))
+    assert moved.triangles == unit.triangles
+    assert moved.neighbors == unit.neighbors
+
+
+def test_collinear_grid_raises_typed_error():
+    # more than three points so that Qhull itself rejects the input
+    pts = np.column_stack([np.linspace(0, 1, 6), np.linspace(0, 2, 6)])
+    with pytest.raises(FlatGridError):
+        triangulate(Grid(pts))
+
+
+def test_near_duplicate_points_raise_typed_error():
+    # Grid accepts points 1e-15 apart; Qhull would drop one of them
+    pts = np.vstack([product_points(2), [[0.5, 0.5 + 1e-15]]])
+    grid = Grid(pts)
+    with pytest.raises(FlatGridError):
+        triangulate(grid)
