@@ -5,7 +5,10 @@
 * an ordered 1D grid brackets each query by its two neighbours;
 * a planar grid under the Euclidean norm with p = 2 uses the Delaunay
   triangle that contains the query;
-* every other setting solves one LP per row.
+* a grid in d >= 3 under the Euclidean norm with p = 2 uses the Qhull
+  Delaunay simplex that contains the query; only rows near the hull,
+  and for ``solve`` rows with more than one optimal basis, take the LP;
+* every other setting, and a grid Qhull rejects, solves one LP per row.
 
 Rows outside the convex hull of the grid are handled here, once: they
 raise SampleOutsideHullError unless the solver is extended, in which
@@ -19,12 +22,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
-from .delaunay import batch_solve, batch_values, hull_mask, triangulate
-from .errors import InfeasibleError, SampleOutsideHullError
-from .geometry import Grid, NormSpec, norm_value_batch
+from .delaunay import (QHULL_OPTIONS, batch_solve, batch_values, hull_mask,
+                       incircle_det, incircle_eps, triangulate)
+from .errors import FlatGridError, InfeasibleError, SampleOutsideHullError
+from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec, norm_value_batch
 from .lp import local_dq_solve
+
+# The simplicial path leaves to the LP (whose tolerances are 1e-9) a row
+# with a barycentric weight below FACET_TOL or outside the hull by less
+# than FACET_TOL times the grid span, and a row in a simplex with another
+# grid point within SPHERE_TOL (relative) of its circumsphere.
+FACET_TOL = 1e-7
+SPHERE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,8 @@ def _segment_values(xs: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
 class _Segments:
     """Ordered 1D grid: the bracketing pair, in increasing position."""
 
+    name = "segments"
+
     def __init__(self, grid: Grid, spec: NormSpec):
         self.order = np.argsort(grid.points[:, 0], kind="stable")
         self.xs = grid.points[self.order, 0]
@@ -100,6 +113,8 @@ class _Segments:
 class _Planar:
     """Planar Delaunay path for the Euclidean norm with p = 2."""
 
+    name = "planar"
+
     def __init__(self, grid: Grid, extended: bool):
         self.tri = triangulate(grid)
         self.triangles = np.asarray(self.tri.triangles, dtype=np.intp)
@@ -120,9 +135,23 @@ class _Planar:
         dist, j = self.tree.query(X)
         return j, dist ** 2
 
+    def tied(self, X):
+        """Rows located in a triangle with a cocircular neighbour vertex."""
+        tidx, _ = batch_solve(self.tri, X)
+        tris, nbrs = self.triangles, np.asarray(self.tri.neighbors)
+        # the neighbour across edge k holds that edge and one more vertex
+        far = np.where(nbrs >= 0, tris[nbrs].sum(axis=2)
+                       - tris.sum(axis=1)[:, None] + tris, tris)
+        P = self.tri.points.T
+        quad = [P[:, tris[:, k:k + 1]] for k in range(3)] + [P[:, far]]
+        tie = (nbrs >= 0) & (np.abs(incircle_det(*quad)) <= incircle_eps(*quad))
+        return (tidx >= 0) & tie.any(axis=1)[tidx]
+
 
 class _PerRowLP:
     """One LP per row; the basis is sorted by grid index."""
+
+    name = "lp"
 
     def __init__(self, grid: Grid, spec: NormSpec, extended: bool):
         self.grid = grid
@@ -161,11 +190,97 @@ class _PerRowLP:
         return j, dists[np.arange(len(X)), j]
 
 
+class _Simplicial(_PerRowLP):
+    """Qhull Delaunay path for d >= 3, Euclidean norm with p = 2: the
+    optimal basis is the Delaunay simplex containing the row, sorted by
+    grid index like the LP's.  Rows near the hull take the LP; so do
+    rows in a tied simplex or on a facet when the basis is asked for,
+    since the LP keeps the lexicographically smallest one.  Geometry
+    runs on centred coordinates, so an offset grid loses no precision."""
+
+    name = "simplicial"
+
+    def __init__(self, grid: Grid, extended: bool):
+        super().__init__(grid, EUCLIDEAN_QUADRATIC, extended)
+        P, d = grid.points, grid.dim
+        self.center = P.mean(axis=0)
+        Pc = P - self.center
+        self.qhull = Delaunay(Pc, qhull_options=QHULL_OPTIONS)
+        if len(self.qhull.coplanar):
+            raise FlatGridError("Qhull left a grid point out of the mesh")
+        self.hull = ConvexHull(Pc).equations
+        self.tree = cKDTree(Pc)
+        # circumcentre z = r + y, r the last vertex: 2 (x_j - r).y = |x_j - r|^2
+        T, S = self.qhull.transform, self.qhull.simplices
+        y = 0.5 * np.einsum("tji,tj->ti", T[:, :d],
+                            np.sum((Pc[S[:, :d]] - T[:, d, None]) ** 2, axis=2))
+        self.z, r2 = T[:, d] + y, np.sum(y * y, axis=1)
+        span2 = float(np.sum(np.ptp(P, axis=0) ** 2))
+        self.span = np.sqrt(span2)
+        # tied: more than the d+1 vertices within the sphere's slack;
+        # flat simplices (NaN transforms) count as tied
+        on_sphere = np.full(len(S), d + 2)
+        ok = np.isfinite(r2)
+        slack = SPHERE_TOL * np.maximum(r2, span2)
+        on_sphere[ok] = self.tree.query_ball_point(
+            self.z[ok], np.sqrt(r2 + slack)[ok], return_length=True)
+        self.tied_simplex = on_sphere > d + 1
+
+    def _locate(self, X):
+        """Located simplex (-1 outside) with basis and weights sorted by
+        grid index, and row masks: ``doubt``, where only the LP can tell
+        inside from outside (near the hull, NaN weights); ``tie``, where
+        the basis is not unique (a tied simplex, a facet) but the value
+        is; and the clearly exterior rows."""
+        d, Xc = X.shape[1], X - self.center
+        s = self.qhull.find_simplex(Xc)
+        t = np.maximum(s, 0)
+        T = self.qhull.transform[t]
+        c = np.einsum("nij,nj->ni", T[:, :d], Xc - T[:, d])
+        w = np.column_stack([c, 1.0 - c.sum(axis=1)])
+        order = np.argsort(self.qhull.simplices[t], axis=1)
+        basis = np.take_along_axis(self.qhull.simplices[t], order, axis=1)
+        w = np.take_along_axis(w, order, axis=1)
+        out = s < 0
+        near = out.copy()
+        near[out] = np.max(Xc[out] @ self.hull[:, :d].T + self.hull[:, d],
+                           axis=1) <= FACET_TOL * self.span
+        doubt = near | (~out & np.isnan(w).any(axis=1))
+        tie = ~out & (self.tied_simplex[t] | (w.min(axis=1) < FACET_TOL))
+        return s, basis, w, doubt, tie, out & ~near
+
+    def values(self, X):
+        _, basis, w, lp, _, exterior = self._locate(X)
+        cost = np.sum((X[:, None, :] - self.grid.points[basis]) ** 2, axis=2)
+        vals, inside = np.sum(w * cost, axis=1), ~exterior
+        if lp.any():
+            inside[lp], vals[lp] = super().values(X[lp])
+        return inside, vals
+
+    def solve(self, X):
+        s, basis, w, doubt, tie, exterior = self._locate(X)
+        u1, inside = 2.0 * (self.z[s] - (X - self.center)), ~exterior
+        lp = doubt | tie
+        if lp.any():
+            inside[lp], basis[lp], w[lp], u1[lp] = super().solve(X[lp])
+        return inside, basis, w, u1
+
+    def nearest(self, X):
+        dist, j = self.tree.query(X - self.center)
+        return j, dist ** 2
+
+    def tied(self, X):
+        """Rows located in a tied simplex."""
+        s = self.qhull.find_simplex(X - self.center)
+        return (s >= 0) & self.tied_simplex[s]
+
+
 class BatchSolver:
     """Local solutions of the dual quantization LP for batches of rows.
 
-    The path (ordered 1D, planar Delaunay, or one LP per row) is chosen
-    here and nowhere else.  Without ``extended`` a row outside the hull
+    The path (ordered 1D, planar Delaunay, Qhull Delaunay in d >= 3, or
+    one LP per row) is chosen here, from the grid and the norm alone,
+    and nowhere else.  Without ``extended`` a row outside the hull
     raises SampleOutsideHullError; with it, the row is served by its
     nearest grid point, whose value is the p-th power distance.
     """
@@ -176,8 +291,24 @@ class BatchSolver:
             self._path = _Segments(grid, spec)
         elif grid.dim == 2 and grid.n >= 3 and spec.is_euclidean_quadratic:
             self._path = _Planar(grid, extended)
+        elif grid.dim >= 3 and spec.is_euclidean_quadratic:
+            try:
+                self._path = _Simplicial(grid, extended)
+            except (QhullError, FlatGridError):  # rejected or dropped points
+                self._path = _PerRowLP(grid, spec, extended)
         else:
             self._path = _PerRowLP(grid, spec, extended)
+
+    @property
+    def path(self) -> str:
+        """The path serving rows: "segments", "planar", "simplicial" or "lp"."""
+        return self._path.name
+
+    def tied(self, X: np.ndarray) -> np.ndarray | None:
+        """Rows in a Delaunay simplex with another grid point on its
+        circumsphere (None on the paths without a Delaunay mesh)."""
+        tied = getattr(self._path, "tied", None)
+        return None if tied is None else tied(X)
 
     def _exterior(self, X: np.ndarray, inside: np.ndarray):
         if not self.extended:

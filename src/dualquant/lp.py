@@ -73,7 +73,9 @@ def _cost_scale(costs: np.ndarray) -> float:
 
 
 def _check_spans(grid: Grid) -> None:
-    if not _affinely_independent(extended_matrix(grid.points)):
+    # centred first: an offset far from the origin must not read as flat
+    centred = grid.points - grid.points.mean(axis=0)
+    if not _affinely_independent(extended_matrix(centred)):
         raise FlatGridError("grid points do not affinely span the ambient space")
 
 

@@ -4,7 +4,7 @@ Monte Carlo estimators shard their samples into fixed-size chunks drawn
 from numbered substreams, so an estimate depends only on the seed and the
 chunk size, never on how the loop is scheduled.  Local values come from
 the batch layer (``batch.BatchSolver``), which picks the 1D, planar
-Delaunay or per-sample LP path.
+Delaunay, Qhull Delaunay (d >= 3) or per-sample LP path.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ def dq_values_batch(grid: Grid, X, spec: NormSpec,
     """Evaluate F^p (or its extended variant) at many query points.
 
     Fast paths: ordered segments in 1D, the Delaunay power identity for
-    the planar Euclidean-quadratic case.  Other settings solve one LP
+    the planar Euclidean-quadratic case, the Qhull Delaunay simplex for
+    the Euclidean-quadratic case in d >= 3.  Other settings solve one LP
     per row of ``X``.
     """
     X = np.asarray(X, dtype=float)

@@ -314,20 +314,28 @@ def _train_lp(pts, pinned, dist, cfg, sample_stream, record):
 
 
 def _degeneracy_probe(grid: Grid, dist: DistributionSpec, spec: NormSpec,
-                      rng: RngStream, probes: int = 64) -> None:
+                      rng: RngStream, solver: BatchSolver,
+                      probes: int = 64) -> None:
     X = np.asarray(dist.sampler(rng.substream(_PROBE_STREAM), probes), float)
-    fails = 0
-    for x in X:
-        try:
-            if not is_nondegenerate(grid, x, spec):
-                fails += 1
-        except InfeasibleError:
-            continue  # exterior samples use the smooth NN branch
+    tied = solver.tied(X)
+    fails = (_lp_probe_failures(grid, X, spec) if tied is None
+             else int(np.count_nonzero(tied)))
     if fails > 0.01 * probes:
         warnings.warn(
             f"{fails}/{probes} probe samples hit degenerate queries; "
             "the pathwise gradient may be biased for this grid",
             RuntimeWarning, stacklevel=3)
+
+
+def _lp_probe_failures(grid: Grid, X: np.ndarray, spec: NormSpec) -> int:
+    """Rows of X whose LP solution is not strictly complementary."""
+    fails = 0
+    for x in X:
+        try:
+            fails += not is_nondegenerate(grid, x, spec)
+        except InfeasibleError:
+            continue  # exterior samples use the smooth NN branch
+    return fails
 
 
 def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
@@ -349,10 +357,9 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
         raise ValueError("not enough samples")
     if dist.dim != grid.dim:
         raise ValueError("distribution and grid dimensions differ")
-    _degeneracy_probe(grid, dist, spec, rng)
-
     n, d, p = grid.n, grid.dim, spec.p
     solver = BatchSolver(grid, spec, extended=True)
+    _degeneracy_probe(grid, dist, spec, rng, solver)
 
     def shard(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         X = np.asarray(dist.sampler(rng.substream(k), m), float)

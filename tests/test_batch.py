@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 from dualquant.batch import BatchSolver, shard_reduce
 from dualquant.cubature import second_order_report, weights
@@ -8,18 +13,28 @@ from dualquant.distributions import make_normal, make_uniform_box
 from dualquant.errors import InfeasibleError, SampleOutsideHullError
 from dualquant.geometry import EUCLIDEAN_QUADRATIC as S2
 from dualquant.geometry import Grid, NormSpec
-from dualquant.lp import local_dq_solve
+from dualquant.lp import enumerate_bases_oracle, local_dq_solve
 from dualquant.metrics import mc_dq_error
-from dualquant.optimnd import mc_gradient
+from dualquant.optimnd import _PROBE_STREAM, _lp_probe_failures, mc_gradient
 from dualquant.rng import RngStream
 from dualquant.splitting import nn_project
 
 U1 = make_uniform_box([0.0], [1.0])
 U2 = make_uniform_box([0.0, 0.0], [1.0, 1.0])
+U3 = make_uniform_box([0.0] * 3, [1.0] * 3)
 
 
 def _random_grid(n, seed):
     return Grid(np.random.default_rng(seed).uniform(0.1, 0.9, size=(n, 2)))
+
+
+def _box_grid(d, extra, seed):
+    """Unit box corners plus random points: every box face forms
+    cospherical pyramids with the nearest points, so the Delaunay mesh
+    has tied simplices."""
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
+    rng = np.random.default_rng(seed)
+    return Grid(np.vstack([corners, rng.random((extra, d))]))
 
 
 def test_shard_reduce_sizes_and_order():
@@ -145,3 +160,150 @@ def test_planar_weights_equal_lp_picks():
         cum = np.cumsum([max(lam[v], 0.0) for v in verts])
         counts[verts[min(int((cum <= ui).sum()), 2)]] += 1
     assert np.array_equal(np.round(table.weights * n).astype(int), counts)
+
+
+@pytest.mark.parametrize("grid,spec,path", [
+    (Grid([0.2, 0.5, 0.9]), S2, "segments"),
+    (_random_grid(7, 4), S2, "planar"),
+    (_box_grid(3, 6, 1), S2, "simplicial"),
+    (_box_grid(4, 4, 1), S2, "simplicial"),
+    (_box_grid(3, 6, 1), NormSpec("l1", 2), "lp"),
+    (_box_grid(3, 6, 1), NormSpec("l2", 3), "lp"),
+    # Qhull rejects a flat grid, and drops a point 1e-15 from a corner
+    (Grid(np.column_stack([np.random.default_rng(0).random((10, 2)),
+                           np.zeros(10)])), S2, "lp"),
+    (Grid(np.vstack([_box_grid(3, 0, 0).points, [[1e-15, 0.0, 0.0]]])),
+     S2, "lp"),
+])
+def test_path_is_chosen_from_dimension_and_norm(grid, spec, path):
+    assert BatchSolver(grid, spec).path == path
+
+
+def _hard_rows(grid, rng):
+    """Random rows around the box, grid points, facet and edge points of
+    the Delaunay mesh, and points on the box faces and 1e-12 past them
+    (inside the hull for the LP's tolerance)."""
+    d, P = grid.dim, grid.points
+    S = Delaunay(P).simplices[:40]
+    face, rows = rng.random((20, d)), np.arange(20)
+    axis, side = rng.integers(0, d, 20), rng.integers(0, 2, 20)
+    face[rows, axis] = side
+    past = face.copy()
+    past[rows, axis] += (2 * side - 1) * 1e-12
+    return np.vstack([rng.uniform(-0.1, 1.1, size=(150, d)), P,
+                      P[S[:, :d]].mean(axis=1), P[S[:, :2]].mean(axis=1),
+                      face, past])
+
+
+@pytest.mark.parametrize("d,extra", [(3, 22), (4, 6)])
+def test_simplicial_path_matches_lp(d, extra):
+    grid = _box_grid(d, extra, 8)
+    X = _hard_rows(grid, np.random.default_rng(d))
+    solver = BatchSolver(grid, S2, extended=True)
+    assert solver.path == "simplicial"
+    sol, vals = solver.solve(X), solver.values(X)
+    exterior = 0
+    for i, x in enumerate(X):
+        try:
+            ref = local_dq_solve(grid, x, S2)
+        except InfeasibleError:
+            exterior += 1
+            j = nn_project(grid, x, S2)
+            assert sol.nearest[i] == j
+            assert sol.basis[i].tolist() == [j] * (d + 1)
+            assert vals[i] == pytest.approx(np.sum((x - grid.points[j]) ** 2),
+                                            rel=1e-12)
+            continue
+        assert sol.nearest[i] == -1
+        assert tuple(sol.basis[i]) == ref.basis
+        np.testing.assert_allclose(sol.weights[i], ref.weights, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(sol.u1[i], ref.u_spatial, rtol=0,
+                                   atol=1e-12)
+        assert vals[i] == pytest.approx(ref.value, rel=1e-12, abs=1e-15)
+    assert 0 < exterior < len(X)
+
+
+def test_simplicial_compact_solver_raises_outside_hull():
+    solver = BatchSolver(_box_grid(3, 10, 2), S2)
+    inside = np.random.default_rng(0).random((50, 3))
+    assert np.all(np.isfinite(solver.values(inside)))
+    X = np.vstack([inside, [[1.5, 0.5, 0.5]]])
+    with pytest.raises(SampleOutsideHullError):
+        solver.values(X)
+    with pytest.raises(SampleOutsideHullError):
+        solver.solve(X)
+
+
+def test_simplicial_results_do_not_depend_on_thread_count():
+    grid = _box_grid(3, 12, 5)
+    normal = make_normal(dim=3)
+    runs = {}
+    for threads in (1, 3):
+        kw = dict(chunk=1000, threads=threads)
+        runs[threads] = (
+            weights(grid, normal, S2, 5000, RngStream(4), extended=True,
+                    **kw).weights,
+            second_order_report(grid, normal, S2,
+                                lambda x: float(np.cos(x.sum())), 2.0, 5000,
+                                RngStream(5), extended=True, **kw),
+        )
+    (w1, s1), (w3, s3) = runs[1], runs[3]
+    assert np.array_equal(w1, w3)
+    assert s1 == s3
+
+
+@pytest.mark.parametrize("grid,dist", [
+    (_box_grid(2, 0, 0), U2),
+    (_box_grid(3, 0, 0), U3),
+    (_box_grid(3, 22, 1), U3),
+    (_random_grid(12, 4), U2),
+    (_box_grid(2, 8, 9), U2),
+])
+def test_tied_rows_equal_lp_probe_failures(grid, dist):
+    for seed in (1, 2):
+        X = np.asarray(dist.sampler(RngStream(seed).substream(_PROBE_STREAM),
+                                    64), float)
+        tied = BatchSolver(grid, S2, extended=True).tied(X)
+        assert np.count_nonzero(tied) == _lp_probe_failures(grid, X, S2)
+
+
+def _random_rows(rng, P, m):
+    """Convex combinations of the grid points (inside the hull) and
+    uniform draws from the bounding box (some outside)."""
+    w = rng.exponential(size=(m, len(P)))
+    lo, hi = P.min(axis=0), P.max(axis=0)
+    return np.vstack([(w / w.sum(axis=1, keepdims=True)) @ P,
+                      rng.uniform(lo, hi, size=(m, P.shape[1]))])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3),
+       st.lists(st.floats(-577.0, 577.0), min_size=3, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_simplicial_values_scale_with_the_grid(seed, s, c):
+    # F(s grid + c, s xi + c) = s^2 F(grid, xi); |c| <= 1e3.  Rounding
+    # s x + c moves a point by up to 1e-10 of the grid span at s = 1e-3,
+    # so the unit-scale side takes the moved points mapped back, which
+    # is exact: the property then checks the solver, not that rounding.
+    rng = np.random.default_rng(seed)
+    P = rng.random((12, 3))
+    X = _random_rows(rng, P, 30)
+    c = np.asarray(c)
+    Pm, Xm = s * P + c, s * X + c
+    base = BatchSolver(Grid((Pm - c) / s), S2, extended=True)
+    moved = BatchSolver(Grid(Pm), S2, extended=True)
+    assert base.path == moved.path == "simplicial"
+    np.testing.assert_allclose(moved.values(Xm) / s ** 2,
+                               base.values((Xm - c) / s), rtol=1e-9)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(5, 10))
+@settings(max_examples=25, deadline=None)
+def test_simplicial_values_equal_oracle(seed, n):
+    rng = np.random.default_rng(seed)
+    grid = Grid(rng.random((n, 3)))
+    X = _random_rows(rng, grid.points, 8)[:8]
+    vals = BatchSolver(grid, S2).values(X)
+    for x, v in zip(X, vals):
+        assert v == pytest.approx(enumerate_bases_oracle(grid, x, S2),
+                                  rel=1e-9, abs=1e-15)

@@ -60,6 +60,12 @@ def test_flat_grid_raises():
         local_dq_solve(g, [1.0, 1.0], S2)
 
 
+def test_grid_far_from_origin_is_not_flat():
+    pts = np.random.default_rng(seed).random((12, 3))
+    sol = local_dq_solve(Grid(pts + 1e6), pts[:4].mean(axis=0) + 1e6, S2)
+    assert len(sol.basis) == 4
+
+
 def test_adjacent_segment_in_1d():
     g = Grid([[0.0], [0.25], [0.6], [1.0]])
     sol = local_dq_solve(g, [0.3], S2)
