@@ -14,6 +14,14 @@ Rows outside the convex hull of the grid are handled here, once: they
 raise SampleOutsideHullError unless the solver is extended, in which
 case they are served by their nearest grid point.  ``shard_reduce`` is
 the one loop that splits Monte Carlo work into numbered shards.
+
+Ties: on a cocircular grid more than one simplex is optimal at a row.
+The planar path answers with the triangle of the canonical
+triangulation, so ``cubature.weights`` and ``optimnd.mc_gradient`` use
+it; ``lp.local_dq_solve``, ``splitting.split`` and the d >= 3 path
+answer with the LP's lexicographically smallest basis.  The value is
+the same either way (on a 5 x 5 product grid, 192 of 400 random rows
+get another basis and the values agree to 7e-18).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from .errors import SampleOutsideHullError
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec
 from .metrics import DEFAULT_CHUNK, mean_and_se
 from .rng import RngStream
-from .splitting import interpolate
+from .splitting import interpolate, pick
 
 __all__ = [
     "SecondOrderReport",
@@ -61,7 +61,10 @@ def _split_draws(grid: Grid, dist: DistributionSpec, spec: NormSpec,
     Shard k takes its samples from ``rng.substream(2k)`` and applies the
     cumulative-weight rule of ``splitting.split`` to each row's optimal
     simplex with uniforms from ``rng.substream(2k + 1)``; outside the
-    hull the extended variant projects to the nearest grid point.
+    hull the extended variant projects to the nearest grid point.  The
+    simplex is ``BatchSolver.solve``'s: on a cocircular planar grid that
+    is the canonical triangulation's triangle, which can differ from the
+    LP basis ``split`` draws from (see ``batch``).
     """
     solver = BatchSolver(grid, spec, extended)
 
@@ -69,9 +72,7 @@ def _split_draws(grid: Grid, dist: DistributionSpec, spec: NormSpec,
         X = np.asarray(dist.sampler(rng.substream(2 * shard), m), dtype=float)
         u = rng.substream(2 * shard + 1).uniform(m)
         sol = solver.solve(X)
-        cum = np.cumsum(np.maximum(sol.weights, 0.0), axis=1)
-        pos = np.minimum((cum <= u[:, None]).sum(axis=1), cum.shape[1] - 1)
-        return X, sol.basis[np.arange(m), pos]
+        return X, sol.basis[np.arange(m), pick(sol.weights, u)]
 
     return draw
 

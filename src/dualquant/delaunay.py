@@ -81,20 +81,6 @@ def incircle_eps(pa, pb, pc, pd) -> float:
     return COCIRCULAR_EPS * perm
 
 
-def _circumcircle2d(ax, ay, bx, by, cx, cy):
-    """Circumcenter and squared radius by direct elimination."""
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0.0:
-        raise FlatGridError("circumcircle of collinear vertices")
-    a2 = ax * ax + ay * ay
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
-    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    r2 = (ax - ux) ** 2 + (ay - uy) ** 2
-    return ux, uy, r2
-
-
 @dataclass
 class Triangulation:
     """Triangle soup with adjacency over a fixed point array.
@@ -343,9 +329,7 @@ def dq_solve_delaunay(grid: Grid, tri: Triangulation, xi, spec: NormSpec) -> Loc
     P = grid.points
     M = np.vstack([P[list(basis)].T, np.ones(3)])
     lam = np.linalg.solve(M, np.concatenate([xi, [1.0]]))
-    ux, uy, _ = _circumcircle2d(*P[basis[0]], *P[basis[1]], *P[basis[2]])
-    z = np.array([ux, uy])
-    u1 = 2.0 * (z - xi)
+    u1 = 2.0 * (tri.power_data()[0][t] - xi)
     u2 = float(np.sum((xi - P[basis[0]]) ** 2) - P[basis[0]] @ u1)
     costs = np.sum((xi[None, :] - P[list(basis)]) ** 2, axis=1)
     value = float(lam @ costs)

@@ -68,10 +68,6 @@ class ExtendedValue:
     nn_index: int | None
 
 
-def _cost_scale(costs: np.ndarray) -> float:
-    return max(float(np.max(costs)), 1.0)
-
-
 def _check_spans(grid: Grid) -> None:
     # centred first: an offset far from the origin must not read as flat
     centred = grid.points - grid.points.mean(axis=0)
@@ -140,8 +136,9 @@ def local_dq_solve(grid: Grid, xi, spec: NormSpec) -> LocalSolution:
     c = _costs(grid, xi, spec)
     A = extended_matrix(grid.points)
     b = np.concatenate([xi, [1.0]])
-    cost_scale = _cost_scale(c)
-    tol_s = TOL * cost_scale
+    # the largest cost sets the scale: positive for a spanning grid, and
+    # it moves with the grid's units, so the tolerance stays relative
+    tol_s = TOL * float(np.max(c))
     res = _simplex.solve_standard_form(A, b, c, tol_s)
     if res.status == "infeasible":
         raise InfeasibleError("query point lies outside the convex hull of the grid")
@@ -224,5 +221,4 @@ def is_nondegenerate(grid: Grid, xi, spec: NormSpec) -> bool:
     A = extended_matrix(grid.points)
     s = c - A.T @ sol.u
     outside = np.setdiff1d(np.arange(grid.n), np.asarray(sol.basis))
-    cost_scale = _cost_scale(c)
-    return bool(np.min(s[outside]) > TOL * cost_scale)
+    return bool(np.min(s[outside]) > TOL * float(np.max(c)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import BatchSolver, shard_reduce
-from .delaunay import dq_solve_delaunay, triangulate
+from .delaunay import triangulate
 from .distributions import DistributionSpec
 from .errors import FlatGridError, InfeasibleError, NonDifferentiableError
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec
@@ -30,6 +30,7 @@ from .splitting import nn_project
 
 _PROBE_STREAM = 0x7FFFFFFF  # substream reserved for degeneracy probes
 _GRADIENT_ROWS = 4096  # rows per solve in a gradient shard: bounds memory
+_RETRIANGULATE_EVERY = 64  # planar training steps between mesh rebuilds
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class TrainConfig:
     b: float = 100.0
     seed: int = 0
     anchors: tuple = ()
-    retriangulate_every: int = 64
     trace_every: int = 0
     trace_samples: int = 4096
     refine_iters: int = 0
@@ -57,8 +57,6 @@ class TrainConfig:
             raise ValueError("steps must be nonnegative")
         if self.a <= 0.0 or self.b < 1.0:
             raise ValueError("need a > 0 and b >= 1")
-        if self.retriangulate_every < 1:
-            raise ValueError("retriangulate_every must be positive")
         if self.trace_every < 0 or self.trace_samples < 2:
             raise ValueError("bad trace settings")
         if self.refine_iters < 0 or self.refine_samples < 2:
@@ -79,7 +77,7 @@ class TrainReport:
 
 
 def cvlq_step(grid: Grid, xi, alpha: float,
-              spec: NormSpec = EUCLIDEAN_QUADRATIC, tri=None) -> Grid:
+              spec: NormSpec = EUCLIDEAN_QUADRATIC) -> Grid:
     """One competitive-learning update from a single sample.
 
     Basis vertices move toward z* = xi + u1/2 by alpha times their
@@ -90,21 +88,16 @@ def cvlq_step(grid: Grid, xi, alpha: float,
         raise ValueError("the update needs the Euclidean norm with p = 2")
     pts = grid.points.copy()
     _lp_update(pts, grid.pinned, np.asarray(xi, dtype=float).reshape(-1),
-               alpha, tri)
+               alpha)
     return grid.with_points(pts)
 
 
-def _lp_update(pts: np.ndarray, pinned, xi: np.ndarray, alpha: float,
-               tri=None) -> int:
+def _lp_update(pts: np.ndarray, pinned, xi: np.ndarray, alpha: float) -> int:
     """LP-route update of ``pts`` in place; returns 1 when xi was outside
-    the hull (nearest-neighbour pull applied), else 0.  A triangulation
-    of the planar points, when given, replaces the LP."""
+    the hull (nearest-neighbour pull applied), else 0."""
     g = Grid(pts)
     try:
-        if tri is not None:
-            sol = dq_solve_delaunay(g, tri, xi, EUCLIDEAN_QUADRATIC)
-        else:
-            sol = local_dq_solve(g, xi, EUCLIDEAN_QUADRATIC)
+        sol = local_dq_solve(g, xi, EUCLIDEAN_QUADRATIC)
     except InfeasibleError:
         j = nn_project(g, xi, EUCLIDEAN_QUADRATIC)
         if j not in pinned:
@@ -221,7 +214,6 @@ def _train_plane(pts, pinned, dist, cfg, sample_stream, record):
     ys = pts[:, 1].tolist()
     pin = [i in pinned for i in range(n)]
     a, b = cfg.a, cfg.b
-    every = cfg.retriangulate_every
     trace_every = cfg.trace_every
     tris: list = []
     nbrs: list = []
@@ -249,7 +241,7 @@ def _train_plane(pts, pinned, dist, cfg, sample_stream, record):
         for m in range(take):
             if trace_every and k % trace_every == 0:
                 record(k, np.column_stack([xs, ys]))
-            if k and k % every == 0:
+            if k and k % _RETRIANGULATE_EVERY == 0:
                 rebuild()
             px, py = sx[m], sy[m]
             alpha = a / (b + k)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delaunay import Triangulation, dq_solve_delaunay
 from .errors import InfeasibleError
 from .geometry import Grid, NormSpec, norm_value_batch
 from .lp import local_dq_solve
@@ -48,57 +47,47 @@ def nn_project(grid: Grid, xi, spec: NormSpec) -> int:
     return int(np.argmin(d))
 
 
-def _select(basis, weights, u: float) -> int:
-    """Cumulative-weight vertex choice, ordered by ascending grid index."""
-    cum = 0.0
-    for idx, w in zip(basis, weights):
-        cum += max(float(w), 0.0)
-        if u < cum:
-            return int(idx)
-    return int(basis[-1])
+def pick(weights, u) -> np.ndarray:
+    """Cumulative-weight vertex choice: the position of the first vertex
+    whose running sum of clipped weights exceeds u, or the last vertex
+    when rounding leaves the total at or below u.
+
+    ``weights`` (..., k) holds each basis's weights in ascending grid
+    index; ``u`` broadcasts against ``weights[..., 0]``.
+    """
+    cum = np.cumsum(np.maximum(weights, 0.0), axis=-1)
+    pos = np.sum(cum <= np.expand_dims(u, -1), axis=-1)
+    return np.minimum(pos, cum.shape[-1] - 1)
 
 
-def split(grid: Grid, xi, spec: NormSpec, rng: RngStream,
-          tri: Triangulation | None = None) -> SplitOutcome:
-    """Draw one splitting outcome; requires xi inside the hull."""
-    xi = np.asarray(xi, dtype=float)
-    if tri is not None and spec.is_euclidean_quadratic and grid.dim == 2:
-        sol = dq_solve_delaunay(grid, tri, xi, spec)
-    else:
-        sol = local_dq_solve(grid, xi, spec)
-    u = float(rng.uniform())
-    idx = _select(sol.basis, sol.weights, u)
+def split(grid: Grid, xi, spec: NormSpec, rng: RngStream) -> SplitOutcome:
+    """Draw one splitting outcome; requires xi inside the hull.
+
+    The basis is the LP's; on a tie it is the lexicographically smallest
+    optimal one.
+    """
+    sol = local_dq_solve(grid, np.asarray(xi, dtype=float), spec)
+    idx = sol.basis[int(pick(sol.weights, rng.uniform()))]
     return SplitOutcome(idx, grid.points[idx].copy(), "interior", sol.basis, sol.weights)
 
 
-def split_extended(grid: Grid, xi, spec: NormSpec, rng: RngStream,
-                   tri: Triangulation | None = None) -> SplitOutcome:
+def split_extended(grid: Grid, xi, spec: NormSpec, rng: RngStream) -> SplitOutcome:
     """Splitting extended to all of R^d by nearest-point projection."""
     try:
-        return split(grid, xi, spec, rng, tri=tri)
+        return split(grid, xi, spec, rng)
     except InfeasibleError:
         idx = nn_project(grid, np.asarray(xi, dtype=float), spec)
         return SplitOutcome(idx, grid.points[idx].copy(), "exterior", None, None)
 
 
-def split_many(grid: Grid, xi, spec: NormSpec, rng: RngStream, n: int,
-               tri: Triangulation | None = None) -> np.ndarray:
+def split_many(grid: Grid, xi, spec: NormSpec, rng: RngStream, n: int) -> np.ndarray:
     """n independent splitting draws at a fixed query point.
 
     Solves once and applies the cumulative-weight rule to a vector of
     uniforms; distributionally identical to n calls of ``split``.
     """
-    xi = np.asarray(xi, dtype=float)
-    if tri is not None and spec.is_euclidean_quadratic and grid.dim == 2:
-        sol = dq_solve_delaunay(grid, tri, xi, spec)
-    else:
-        sol = local_dq_solve(grid, xi, spec)
-    w = np.maximum(np.asarray(sol.weights, dtype=float), 0.0)
-    cum = np.cumsum(w)
-    u = rng.uniform(n)
-    pos = np.searchsorted(cum, u, side="right")
-    pos = np.minimum(pos, len(sol.basis) - 1)
-    return np.asarray(sol.basis, dtype=int)[pos]
+    sol = local_dq_solve(grid, np.asarray(xi, dtype=float), spec)
+    return np.asarray(sol.basis, dtype=int)[pick(sol.weights, rng.uniform(n))]
 
 
 def interpolate(grid: Grid, F, xi, spec: NormSpec) -> float:

@@ -37,14 +37,12 @@ def _edge_set(tri: Triangulation) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
-def render_grid_svg(grid: Grid, tri: Triangulation | None = None,
-                    show_hull: bool = True, width: int = 640,
+def render_grid_svg(grid: Grid, show_hull: bool = True, width: int = 640,
                     height: int = 640, title: str | None = None) -> str:
     """Render a 2D grid to an SVG string (points, edges, hull outline)."""
     if grid.dim != 2:
         raise ValueError("SVG rendering is for two-dimensional grids")
-    if tri is None and grid.n >= 3:
-        tri = triangulate(grid)
+    tri = triangulate(grid) if grid.n >= 3 else None
     pts = grid.points
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -86,13 +84,12 @@ def render_grid_svg(grid: Grid, tri: Triangulation | None = None,
     return "".join(out)
 
 
-def write_figure(grid: Grid, path, tri: Triangulation | None = None,
-                 show_hull: bool = True, title: str | None = None) -> Path:
+def write_figure(grid: Grid, path, show_hull: bool = True,
+                 title: str | None = None) -> Path:
     """Write the SVG plus a sibling CSV of the plotted coordinates."""
     path = Path(path)
     if path.suffix.lower() != ".svg":
         path = path.with_suffix(".svg")
-    path.write_text(render_grid_svg(grid, tri=tri, show_hull=show_hull,
-                                    title=title))
+    path.write_text(render_grid_svg(grid, show_hull=show_hull, title=title))
     save_grid(grid, path.with_suffix(".csv"))
     return path

@@ -168,6 +168,25 @@ def test_is_nondegenerate():
     assert is_nondegenerate(bent, [0.3, 0.3], S2)
 
 
+@pytest.mark.parametrize("s", [1e-6, 1e6])
+def test_answers_do_not_depend_on_units(s):
+    # F^2(s Gamma, s xi) = s^2 F^2(Gamma, xi), the hull test and strict
+    # complementarity carry over, whatever the units of the grid
+    rng = np.random.default_rng(seed + 7)
+    pts = rng.uniform(size=(12, 2))
+    g, gs = Grid(pts), Grid(pts * s)
+    for xi in rng.uniform(-0.1, 1.1, size=(200, 2)):
+        try:
+            ref = enumerate_bases_oracle(g, xi, S2)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                local_dq_solve(gs, xi * s, S2)
+            continue
+        val = local_dq_value(gs, xi * s, S2)
+        assert abs(val - s * s * ref) <= 1e-9 * s * s * ref
+        assert is_nondegenerate(gs, xi * s, S2) == is_nondegenerate(g, xi, S2)
+
+
 def test_enumeration_budget_guard():
     rng = np.random.default_rng(seed + 3)
     grid = Grid(rng.normal(size=(60, 3)))

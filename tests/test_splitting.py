@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from dualquant.delaunay import triangulate
 from dualquant.errors import InfeasibleError
 from dualquant.geometry import Grid, NormSpec
-from dualquant.lp import local_dq_value
+from dualquant.lp import local_dq_solve, local_dq_value
 from dualquant.rng import RngStream
-from dualquant.splitting import interpolate, nn_project, split, split_extended, split_many
+from dualquant.splitting import (interpolate, nn_project, pick, split, split_extended,
+                                 split_many)
 
 seed = 424242
 S2 = NormSpec("l2", 2)
@@ -88,17 +88,6 @@ def test_split_deterministic_for_fixed_seed():
     assert run1 == run2
 
 
-def test_split_with_triangulation_matches_lp_path():
-    rng_np = np.random.default_rng(5)
-    g = Grid(rng_np.uniform(size=(15, 2)))
-    tri = triangulate(g)
-    xi = np.array([0.5, 0.5])
-    a = split(g, xi, S2, RngStream(11), tri=tri)
-    b = split(g, xi, S2, RngStream(11))
-    assert a.basis == b.basis
-    assert a.index == b.index
-
-
 def test_stationarity_empirical_mean():
     rng_np = np.random.default_rng(6)
     g = Grid(rng_np.uniform(size=(10, 2)))
@@ -131,6 +120,45 @@ def test_split_many_matches_scalar_split():
     scalar = [split(g, xi, S2, rng).index for _ in range(500)]
     vector = split_many(g, xi, S2, RngStream(77), 500)
     assert scalar == list(vector)
+
+
+def test_split_on_a_tie_draws_from_the_lp_basis():
+    # the unit square is cocircular: (0, 1, 2) and (0, 1, 3) both hold
+    # (0.3, 0.3) optimally, and the LP keeps the smaller one
+    g = Grid([[0, 0], [1, 0], [0, 1], [1, 1]])
+    xi = np.array([0.3, 0.3])
+    assert local_dq_solve(g, xi, S2).basis == (0, 1, 2)
+    assert split(g, xi, S2, RngStream(3)).basis == (0, 1, 2)
+    draws = split_many(g, xi, S2, RngStream(3), 3000)
+    freq = np.bincount(draws, minlength=4) / len(draws)
+    assert freq[3] == 0.0
+    assert np.allclose(freq[:3], [0.4, 0.3, 0.3], atol=0.04)
+
+
+def _select_loop(basis, weights, u):
+    """Reference cumulative-weight rule, one vertex at a time."""
+    cum = 0.0
+    for idx, w in zip(basis, weights):
+        cum += max(float(w), 0.0)
+        if u < cum:
+            return int(idx)
+    return int(basis[-1])
+
+
+def test_pick_matches_the_loop_rule():
+    rng = np.random.default_rng(seed + 3)
+    W = rng.uniform(-0.2, 1.0, size=(400, 4))
+    W[rng.uniform(size=W.shape) < 0.25] = 0.0
+    cum = np.cumsum(np.maximum(W, 0.0), axis=1)
+    U = rng.uniform(0.0, 1.2, size=400) * cum[:, -1]
+    # uniforms exactly on a cumulative sum, and at or above the total
+    U[:100] = cum[np.arange(100), rng.integers(0, 4, size=100)]
+    U[100:120] = cum[100:120, -1]
+    basis = np.arange(4)
+    want = [_select_loop(basis, w, u) for w, u in zip(W, U)]
+    assert list(pick(W, U)) == want
+    assert [int(pick(w, u)) for w, u in zip(W, U)] == want
+    assert list(pick(W[0], U[:50])) == [_select_loop(basis, W[0], u) for u in U[:50]]
 
 
 def test_interpolate_examples():
