@@ -18,9 +18,6 @@ from .errors import MaxIterationsError
 # Pivot eligibility threshold for ratio tests; reduced-cost tolerances
 # are passed in by the caller because they carry the problem's scale.
 PIVOT_TOL = 1e-11
-# Phase one's own tolerance.  Its costs are 0 and 1 and it runs on rows
-# scaled to unit size, so unlike phase two's it carries no scale.
-PHASE_ONE_TOL = 1e-9
 
 
 @dataclass
@@ -90,11 +87,8 @@ def solve_standard_form(A, b, c, tol) -> SimplexResult:
     m, n = np.shape(A)
     max_iter = 50 * (n + m) + 200
 
-    # rows scaled by powers of two (exact) to unit size; x is unchanged
-    row_scale = np.exp2(np.round(np.log2(np.max(np.abs(A), axis=1))))
-    A1, b1, flip, basis, art_value, total_it = _phase_one(
-        A / row_scale[:, None], b / row_scale, PHASE_ONE_TOL)
-    if art_value > PHASE_ONE_TOL:
+    A1, b1, flip, basis, art_value, total_it = _phase_one(A, b, tol)
+    if art_value > tol:
         return SimplexResult("infeasible", None, None, None, art_value, total_it)
 
     # Drive residual zero-valued artificials out of the basis.  The
@@ -118,8 +112,8 @@ def solve_standard_form(A, b, c, tol) -> SimplexResult:
     # Phase two on the original columns.
     basis, xB, y, it2 = _bland_iterate(A1[:, :n], b1, c, basis, tol, max_iter)
     total_it += it2
-    # Undo the row scaling and flips in the dual before reporting.
-    y = y / row_scale
+    # Undo the row flips in the dual before reporting.
+    y = y.copy()
     y[flip] *= -1.0
     x = np.zeros(n)
     x[basis] = xB

@@ -326,7 +326,7 @@ def dq_solve_delaunay(grid: Grid, tri: Triangulation, xi, spec: NormSpec) -> Loc
         raise InfeasibleError("query point lies outside the convex hull of the grid")
     tri_verts = tri.triangles[t]
     basis = tuple(sorted(tri_verts))
-    P = grid.points
+    P = tri.points  # the mesh's own coordinates, which its power data uses
     M = np.vstack([P[list(basis)].T, np.ones(3)])
     lam = np.linalg.solve(M, np.concatenate([xi, [1.0]]))
     u1 = 2.0 * (tri.power_data()[0][t] - xi)

@@ -19,7 +19,7 @@ from . import _simplex
 from .errors import DegenerateGeometryError, GridFormatError
 
 # Rank decisions use pivot magnitudes against this factor times the
-# input magnitude scale; feasibility checks scale 1e-9 the same way.
+# input magnitude scale; feasibility checks run in the grid's own units.
 RANK_TOL = 1e-10
 FEAS_TOL = 1e-9
 
@@ -135,17 +135,26 @@ def is_affine_basis(grid: Grid, indices) -> bool:
     return not _rank_deficient(M)
 
 
-def in_convex_hull(grid: Grid, xi, tol: float | None = None) -> bool:
-    """Feasibility of xi as a convex combination of the grid points."""
+def unit_frame(grid: Grid, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Constraints [P; 1] lam = [xi; 1] of a convex combination, with the
+    points centred on their mean and divided by their largest coordinate
+    spread.  The row sum(lam) = 1 makes the feasible set invariant under
+    this change of units, so a tolerance on it is relative to the grid,
+    whatever its scale or its offset from the origin."""
+    centre = grid.points.mean(axis=0)
+    spread = float(np.max(np.abs(grid.points - centre))) or 1.0
+    A = extended_matrix((grid.points - centre) / spread)
+    b = np.concatenate([(np.asarray(xi, dtype=float) - centre) / spread, [1.0]])
+    return A, b
+
+
+def in_convex_hull(grid: Grid, xi, tol: float = FEAS_TOL) -> bool:
+    """Feasibility of xi as a convex combination of the grid points, to
+    within tol in units of the grid's spread (see unit_frame)."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (grid.dim,):
         raise ValueError(f"query point must have shape ({grid.dim},)")
-    if tol is None:
-        scale = max(float(np.max(np.abs(grid.points))), float(np.max(np.abs(xi))))
-        tol = FEAS_TOL * (1.0 + scale)
-    A = extended_matrix(grid.points)
-    b = np.concatenate([xi, [1.0]])
-    return _simplex.phase_one_feasible(A, b, tol)
+    return _simplex.phase_one_feasible(*unit_frame(grid, xi), tol)
 
 
 def circumcenter(points) -> tuple[np.ndarray, float]:

@@ -21,9 +21,10 @@ import numpy as np
 
 from . import _simplex
 from .errors import BasisBudgetError, FlatGridError, InfeasibleError
-from .geometry import Grid, NormSpec, extended_matrix, norm_value_batch
+from .geometry import Grid, NormSpec, extended_matrix, norm_value_batch, unit_frame
 
-# Relative tolerance factor applied to the magnitude scale of the inputs.
+# Tolerance of the LP's decisions, taken in the grid's own units
+# (see _unit_program), so it is relative to the grid.
 TOL = 1e-9
 # Cap on tight-set subsets examined while canonicalizing a tied basis.
 TIE_BUDGET = 10_000
@@ -68,11 +69,15 @@ class ExtendedValue:
     nn_index: int | None
 
 
-def _check_spans(grid: Grid) -> None:
-    # centred first: an offset far from the origin must not read as flat
-    centred = grid.points - grid.points.mean(axis=0)
-    if not _affinely_independent(extended_matrix(centred)):
+def _unit_program(grid: Grid, xi: np.ndarray, c: np.ndarray):
+    """The local LP in the grid's own units: constraints from unit_frame
+    and costs divided by the largest (positive for a spanning grid).  The
+    feasible set and the optimal bases are unchanged, so the one relative
+    tolerance TOL serves every scale and offset of the grid."""
+    A, b = unit_frame(grid, xi)
+    if not _affinely_independent(A):
         raise FlatGridError("grid points do not affinely span the ambient space")
+    return A, b, c / np.max(c)
 
 
 def _costs(grid: Grid, xi: np.ndarray, spec: NormSpec) -> np.ndarray:
@@ -132,18 +137,15 @@ def local_dq_solve(grid: Grid, xi, spec: NormSpec) -> LocalSolution:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (grid.dim,):
         raise ValueError(f"query point must have shape ({grid.dim},)")
-    _check_spans(grid)
     c = _costs(grid, xi, spec)
-    A = extended_matrix(grid.points)
-    b = np.concatenate([xi, [1.0]])
-    # the largest cost sets the scale: positive for a spanning grid, and
-    # it moves with the grid's units, so the tolerance stays relative
-    tol_s = TOL * float(np.max(c))
-    res = _simplex.solve_standard_form(A, b, c, tol_s)
+    A, b, c_unit = _unit_program(grid, xi, c)
+    res = _simplex.solve_standard_form(A, b, c_unit, TOL)
     if res.status == "infeasible":
         raise InfeasibleError("query point lies outside the convex hull of the grid")
-    basis = _canonical_basis(A, b, c, res, tol_s, TOL)
-    cols = A[:, basis]
+    basis = _canonical_basis(A, b, c_unit, res, TOL, TOL)
+    # weights, dual and value in the caller's units
+    cols = extended_matrix(grid.points[basis])
+    b = np.concatenate([xi, [1.0]])
     weights = np.linalg.solve(cols, b)
     u = np.linalg.solve(cols.T, c[basis])
     value = float(c[basis] @ weights)
@@ -209,7 +211,7 @@ def optimality_region_contains(grid: Grid, indices, xi, spec: NormSpec) -> bool:
     c = _costs(grid, xi, spec)
     val = float(c[idx] @ lam)
     opt = local_dq_value(grid, xi, spec)
-    return val <= opt + TOL * (1.0 + abs(opt))
+    return val <= opt + TOL * float(np.max(c))  # TOL of the largest cost
 
 
 def is_nondegenerate(grid: Grid, xi, spec: NormSpec) -> bool:
@@ -217,8 +219,9 @@ def is_nondegenerate(grid: Grid, xi, spec: NormSpec) -> bool:
     sol = local_dq_solve(grid, xi, spec)
     if len(sol.basis) == grid.n:
         return True
-    c = _costs(grid, np.asarray(xi, dtype=float), spec)
-    A = extended_matrix(grid.points)
-    s = c - A.T @ sol.u
-    outside = np.setdiff1d(np.arange(grid.n), np.asarray(sol.basis))
-    return bool(np.min(s[outside]) > TOL * float(np.max(c)))
+    # slack in the grid's own units, as the solve judged it
+    A, _, c = _unit_program(grid, sol.xi, _costs(grid, sol.xi, spec))
+    basis = list(sol.basis)
+    s = c - A.T @ np.linalg.solve(A[:, basis].T, c[basis])
+    outside = np.setdiff1d(np.arange(grid.n), basis)
+    return bool(np.min(s[outside]) > TOL)

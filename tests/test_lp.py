@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from dualquant.errors import BasisBudgetError, FlatGridError, InfeasibleError
-from dualquant.geometry import Grid, NormSpec, extended_matrix
+from dualquant.geometry import Grid, NormSpec, extended_matrix, in_convex_hull
 from dualquant.lp import (
     enumerate_bases_oracle,
     is_nondegenerate,
@@ -168,23 +169,43 @@ def test_is_nondegenerate():
     assert is_nondegenerate(bent, [0.3, 0.3], S2)
 
 
-@pytest.mark.parametrize("s", [1e-6, 1e6])
-def test_answers_do_not_depend_on_units(s):
-    # F^2(s Gamma, s xi) = s^2 F^2(Gamma, xi), the hull test and strict
-    # complementarity carry over, whatever the units of the grid
+@pytest.mark.parametrize("s, c", [(1e-6, 0.0), (1e6, 0.0), (1.0, 1e6), (1e-6, 1.0)])
+def test_answers_do_not_depend_on_units(s, c):
+    # F^2(s Gamma + c, s xi + c) = s^2 F^2(Gamma, xi); the hull test and
+    # strict complementarity carry over, whatever the units or the offset
     rng = np.random.default_rng(seed + 7)
-    pts = rng.uniform(size=(12, 2))
-    g, gs = Grid(pts), Grid(pts * s)
-    for xi in rng.uniform(-0.1, 1.1, size=(200, 2)):
+    gs = Grid(rng.uniform(size=(12, 2)) * s + c)
+    g = Grid((gs.points - c) / s)  # the same points, back in unit size
+    hull = ConvexHull(g.points)
+    mid = g.points[hull.simplices].mean(axis=1)
+    out = hull.equations[:, :2]
+    queries = np.concatenate([mid + 1e-4 * out, mid - 1e-4 * out,
+                              rng.uniform(-0.1, 1.1, size=(200, 2))])
+    for xi in queries:
+        xs = xi * s + c
         try:
             ref = enumerate_bases_oracle(g, xi, S2)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
-                local_dq_solve(gs, xi * s, S2)
+                local_dq_solve(gs, xs, S2)
+            assert not in_convex_hull(gs, xs)
             continue
-        val = local_dq_value(gs, xi * s, S2)
-        assert abs(val - s * s * ref) <= 1e-9 * s * s * ref
-        assert is_nondegenerate(gs, xi * s, S2) == is_nondegenerate(g, xi, S2)
+        assert in_convex_hull(gs, xs)
+        val = local_dq_value(gs, xs, S2)
+        # the weights are solved in the caller's coordinates, where an
+        # offset c far beyond the spread s costs digits
+        slack = 1e-7 * s * s if c else 0.0
+        assert abs(val - s * s * ref) <= 1e-9 * s * s * ref + slack
+        assert is_nondegenerate(gs, xs, S2) == is_nondegenerate(g, xi, S2)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_optimality_region_at_any_scale(s):
+    # (0, 1, 2) holds xi, but point 3 lies inside its circumcircle
+    g = Grid(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.9, 0.9]]) * s)
+    xi = np.array([0.3, 0.3]) * s
+    assert not optimality_region_contains(g, (0, 1, 2), xi, S2)
+    assert optimality_region_contains(g, local_dq_solve(g, xi, S2).basis, xi, S2)
 
 
 def test_enumeration_budget_guard():
