@@ -8,6 +8,7 @@ from .cubature import (
     expect,
     second_order_report,
     weights,
+    weights_and_report,
     weights_exact_1d,
 )
 from .delaunay import Triangulation, dq_solve_delaunay, locate, triangulate

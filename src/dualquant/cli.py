@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cubature import expect, second_order_report, weights
+from .cubature import expect, weights_and_report
 from .distributions import DistributionSpec, parse_distribution
 from .errors import DualQuantError, GridFormatError
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec, load_grid, save_grid
@@ -239,6 +239,8 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
 
 
 def _make_integrand(text: str, lip_flag, grid: Grid, dist: DistributionSpec):
+    """F and the Lipschitz constant of F'.  F works along the last axis,
+    so it maps one point to a value and an (m, d) block to m values."""
     d = grid.dim
 
     def support_sum_range():
@@ -252,13 +254,13 @@ def _make_integrand(text: str, lip_flag, grid: Grid, dist: DistributionSpec):
         return float(lo.sum()), float(hi.sum())
 
     if text == "quadratic":
-        F = lambda x: float(np.dot(x, x))
+        F = lambda X: np.vecdot(X, X)
         lip = 2.0
     elif text == "cos":
-        F = lambda x: float(np.cos(np.sum(x)))
+        F = lambda X: np.cos(X.sum(axis=-1))
         lip = float(d)  # Hessian is -cos(s) * ones outer ones
     elif text == "exp":
-        F = lambda x: float(np.exp(np.sum(x)))
+        F = lambda X: np.exp(X.sum(axis=-1))
         if lip_flag is None:
             _, shi = support_sum_range()
             lip = float(d * np.exp(shi))
@@ -268,8 +270,8 @@ def _make_integrand(text: str, lip_flag, grid: Grid, dist: DistributionSpec):
         coeffs = [float(v) for v in text.split(":", 1)[1].split(",")]
         asc = np.asarray(coeffs, dtype=float)
 
-        def F(x, asc=asc):
-            return float(np.polynomial.polynomial.polyval(np.sum(x), asc))
+        def F(X, asc=asc):
+            return np.polynomial.polynomial.polyval(X.sum(axis=-1), asc)
 
         if lip_flag is None:
             if len(asc) <= 2:
@@ -295,11 +297,10 @@ def cmd_cubature(args) -> tuple[dict, list[str]]:
     dist = parse_distribution(args.dist)
     spec = EUCLIDEAN_QUADRATIC
     F, lip = _make_integrand(args.f, args.lip, grid, dist)
-    table = weights(grid, dist, spec, args.samples, RngStream(args.seed),
-                    extended=args.extended, threads=args.threads)
-    rep = second_order_report(grid, dist, spec, F, lip, args.samples,
-                              RngStream(args.seed), extended=args.extended,
-                              threads=args.threads)
+    table, rep = weights_and_report(grid, dist, spec, F, lip, args.samples,
+                                    RngStream(args.seed),
+                                    extended=args.extended,
+                                    threads=args.threads)
     payload = {
         "weights": table.weights,
         "expect": expect(table, F),

@@ -5,6 +5,11 @@ splitting operator sends a draw of the distribution to x_i.  Because
 splitting is stationary, the resulting formula sum(p_i F(x_i))
 integrates affine functions exactly and is second-order accurate for
 integrands with a Lipschitz differential.
+
+``weights_and_report`` gives the weights and the check of the
+second-order bound from one pass of draws, with the integrand evaluated
+on blocks of rows; ``weights`` and ``second_order_report`` run the same
+shard body, so on the same stream all three agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "expect",
     "second_order_report",
     "weights",
+    "weights_and_report",
     "weights_exact_1d",
 ]
 
@@ -54,9 +60,11 @@ class WeightTable:
         object.__setattr__(self, "weights", w)
 
 
-def _split_draws(grid: Grid, dist: DistributionSpec, spec: NormSpec,
-                 rng: RngStream, extended: bool):
-    """Shard draws: (shard, m) -> (samples, their splitting outcomes).
+def _split_sums(grid: Grid, dist: DistributionSpec, spec: NormSpec, F_rows,
+                n_samples: int, rng: RngStream, extended: bool, chunk: int,
+                threads: int) -> tuple:
+    """Sums over split draws: outcome counts, then with ``F_rows`` the
+    sums of d = F(X) - F(x_J), d^2, b = ||X - x_J||^2 and b^2.
 
     Shard k takes its samples from ``rng.substream(2k)`` and applies the
     cumulative-weight rule of ``splitting.split`` to each row's optimal
@@ -66,15 +74,35 @@ def _split_draws(grid: Grid, dist: DistributionSpec, spec: NormSpec,
     is the canonical triangulation's triangle, which can differ from the
     LP basis ``split`` draws from (see ``batch``).
     """
+    if dist.dim != grid.dim:
+        raise ValueError("distribution dimension must match the grid")
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
     solver = BatchSolver(grid, spec, extended)
+    fgrid = None if F_rows is None else _row_values(F_rows, grid.points)
 
-    def draw(shard: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def run(shard: int, m: int) -> tuple:
         X = np.asarray(dist.sampler(rng.substream(2 * shard), m), dtype=float)
         u = rng.substream(2 * shard + 1).uniform(m)
         sol = solver.solve(X)
-        return X, sol.basis[np.arange(m), pick(sol.weights, u)]
+        J = sol.basis[np.arange(m), pick(sol.weights, u)]
+        counts = np.bincount(J, minlength=grid.n)
+        if fgrid is None:
+            return (counts,)
+        d = _row_values(F_rows, X) - fgrid[J]
+        b = ((X - grid.points[J]) ** 2).sum(axis=1)
+        return (counts, float(d.sum()), float(d @ d), float(b.sum()),
+                float(b @ b))
 
-    return draw
+    return shard_reduce(n_samples, chunk, threads, run)
+
+
+def _row_values(F_rows, X: np.ndarray) -> np.ndarray:
+    vals = np.asarray(F_rows(X), dtype=float)
+    if vals.shape != (len(X),):
+        raise ValueError(f"the integrand maps {len(X)} rows to shape "
+                         f"{vals.shape}, not ({len(X)},)")
+    return vals
 
 
 def weights(grid: Grid, dist: DistributionSpec, spec: NormSpec,
@@ -88,16 +116,8 @@ def weights(grid: Grid, dist: DistributionSpec, spec: NormSpec,
     samples (common random numbers across grids).  Threading changes
     only shard scheduling, never the result.
     """
-    if dist.dim != grid.dim:
-        raise ValueError("distribution dimension must match the grid")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    draw = _split_draws(grid, dist, spec, rng, extended)
-
-    def run(shard: int, m: int) -> tuple[np.ndarray]:
-        return (np.bincount(draw(shard, m)[1], minlength=grid.n),)
-
-    (counts,) = shard_reduce(n_samples, chunk, threads, run)
+    (counts,) = _split_sums(grid, dist, spec, None, n_samples, rng,
+                            extended, chunk, threads)
     return WeightTable(grid, counts / n_samples, n_samples, rng.seed)
 
 
@@ -164,6 +184,40 @@ class SecondOrderReport:
     n_samples: int
 
 
+def weights_and_report(grid: Grid, dist: DistributionSpec, spec: NormSpec,
+                       F_rows, F_prime_lipschitz: float, n_samples: int,
+                       rng: RngStream, extended: bool = False,
+                       chunk: int = DEFAULT_CHUNK, threads: int = 1
+                       ) -> tuple[WeightTable, SecondOrderReport]:
+    """``weights`` and ``second_order_report`` from one pass of draws.
+
+    ``F_rows`` maps an (m, d) block of points to their m values.  The
+    results equal those of the two separate calls with the same stream,
+    bit for bit, when ``F_rows`` gives each row the value the per-point
+    F gives it.
+    """
+    if spec.kind != "l2":
+        raise ValueError("the second-order bound is stated for the l2 norm")
+    lip = float(F_prime_lipschitz)
+    if not np.isfinite(lip) or lip < 0.0:
+        raise ValueError("F_prime_lipschitz must be a nonnegative real")
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
+    counts, sd, sd2, sb, sb2 = _split_sums(grid, dist, spec, F_rows,
+                                           n_samples, rng, extended, chunk,
+                                           threads)
+    err_mean, error_std = mean_and_se(sd, sd2, n_samples)
+    b_mean, b_se = mean_and_se(sb, sb2, n_samples)
+    bound_std = lip * b_se
+    cubature_error = abs(err_mean)
+    bound = lip * b_mean
+    slack = 4.0 * float(np.hypot(error_std, bound_std))
+    return (WeightTable(grid, counts / n_samples, n_samples, rng.seed),
+            SecondOrderReport(cubature_error, bound,
+                              cubature_error <= bound + slack,
+                              error_std, bound_std, n_samples))
+
+
 def second_order_report(grid: Grid, dist: DistributionSpec, spec: NormSpec,
                         F, F_prime_lipschitz: float, n_samples: int,
                         rng: RngStream, extended: bool = False,
@@ -175,36 +229,12 @@ def second_order_report(grid: Grid, dist: DistributionSpec, spec: NormSpec,
     the error side averages F(X) - F(x_J) and the bound side averages
     the realized squared displacement ||X - x_J||^2 times the supplied
     Lipschitz constant of F'.  ``satisfied`` allows four combined
-    standard errors of slack on top of the bound.
+    standard errors of slack on top of the bound.  F maps one point to
+    a float; ``weights_and_report`` takes F on blocks of rows instead.
     """
-    if spec.kind != "l2":
-        raise ValueError("the second-order bound is stated for the l2 norm")
-    lip = float(F_prime_lipschitz)
-    if not np.isfinite(lip) or lip < 0.0:
-        raise ValueError("F_prime_lipschitz must be a nonnegative real")
-    if dist.dim != grid.dim:
-        raise ValueError("distribution dimension must match the grid")
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    draw = _split_draws(grid, dist, spec, rng, extended)
-    fgrid = np.asarray([float(F(x)) for x in grid.points])
-
-    def run(shard: int, m: int) -> tuple[float, float, float, float]:
-        X, J = draw(shard, m)
-        d = np.asarray([float(F(x)) for x in X]) - fgrid[J]
-        b = ((X - grid.points[J]) ** 2).sum(axis=1)
-        return float(d.sum()), float(d @ d), float(b.sum()), float(b @ b)
-
-    sd, sd2, sb, sb2 = shard_reduce(n_samples, chunk, threads, run)
-    err_mean, error_std = mean_and_se(sd, sd2, n_samples)
-    b_mean, b_se = mean_and_se(sb, sb2, n_samples)
-    bound_std = lip * b_se
-    cubature_error = abs(err_mean)
-    bound = lip * b_mean
-    slack = 4.0 * float(np.hypot(error_std, bound_std))
-    return SecondOrderReport(cubature_error, bound,
-                             cubature_error <= bound + slack,
-                             error_std, bound_std, n_samples)
+    F_rows = lambda X: np.array([float(F(x)) for x in X])
+    return weights_and_report(grid, dist, spec, F_rows, F_prime_lipschitz,
+                              n_samples, rng, extended, chunk, threads)[1]
 
 
 def convex_dominance_check(grid: Grid, F, test_points,

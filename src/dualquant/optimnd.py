@@ -355,18 +355,23 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
 
     def shard(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         X = np.asarray(dist.sampler(rng.substream(k), m), float)
-        gs, gq = np.zeros((n, d)), np.zeros((n, d))
+        # every basis entry in row order, one coordinate per row of vec:
+        # a bincount per coordinate then adds in the order of a
+        # block-by-block scatter, and reads its weights without a copy
+        idx = np.empty(m * (d + 1), dtype=np.intp)
+        vec = np.empty((d, m * (d + 1)))
         for s in range(0, m, _GRADIENT_ROWS):
             Xb = X[s:s + _GRADIENT_ROWS]
             sol = solver.solve(Xb)
             diff = grid.points[sol.basis] - Xb[:, None, :]
             r = np.sqrt(np.sum(diff * diff, axis=-1, keepdims=True))
-            vec = sol.weights[..., None] * (p * r ** (p - 2.0) * diff
-                                            - sol.u1[:, None, :])
-            idx, vec = sol.basis.ravel(), vec.reshape(-1, d)
-            np.add.at(gs, idx, vec)
-            np.add.at(gq, idx, vec ** 2)
-        return gs, gq
+            block = sol.weights[..., None] * (p * r ** (p - 2.0) * diff
+                                              - sol.u1[:, None, :])
+            rows = slice(s * (d + 1), (s + len(Xb)) * (d + 1))
+            idx[rows] = sol.basis.ravel()
+            vec[:, rows] = block.reshape(-1, d).T
+        return (np.column_stack([np.bincount(idx, v, n) for v in vec]),
+                np.column_stack([np.bincount(idx, v ** 2, n) for v in vec]))
 
     gsum, gsq = shard_reduce(n_samples, chunk, 1, shard)
     grad = gsum / n_samples

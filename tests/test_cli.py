@@ -158,6 +158,25 @@ def test_cubature_affine_poly_error_vanishes(tmp_path, capsys):
     assert doc["cubature_error"] <= 4 * doc["error_std"]
 
 
+def test_cubature_seeded_and_thread_invariant_across_shards(tmp_path, capsys):
+    gp = tmp_path / "g.json"
+    save_grid(Grid([[0.2, 0.2], [0.9, 0.1], [0.5, 0.9], [0.5, 0.5]]), gp)
+    argv = ("cubature", "--grid", str(gp), "--dist", "uniform2d", "--f",
+            "cos", "--extended", "--samples", "70000", "--seed", "5")
+    for extra in ((), ("--json",)):  # 70000 samples: two shards
+        code, a, _ = run(capsys, *argv, *extra)
+        _, b, _ = run(capsys, *argv, *extra, "--threads", "3")
+        assert code == 0 and a == b
+
+
+def test_cubature_one_sample_is_a_usage_error(tmp_path, capsys):
+    gp = tmp_path / "g.json"
+    save_grid(Grid([0.0, 1.0]), gp)
+    code, _, err = run(capsys, "cubature", "--grid", str(gp), "--dist",
+                       "uniform:0,1", "--f", "cos", "--samples", "1")
+    assert code == 2 and "two samples" in err
+
+
 def test_cubature_unknown_integrand(tmp_path, capsys):
     gp = tmp_path / "g.json"
     save_grid(Grid([0.0, 1.0]), gp)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
+from dualquant.cli import _make_integrand
 from dualquant.cubature import (
     SecondOrderReport,
     WeightTable,
@@ -8,6 +10,7 @@ from dualquant.cubature import (
     expect,
     second_order_report,
     weights,
+    weights_and_report,
     weights_exact_1d,
 )
 from dualquant.distributions import (
@@ -237,6 +240,61 @@ def test_second_order_validation():
     with pytest.raises(ValueError):
         second_order_report(Grid([0.0, 1.0]), U1, S2, F, 1.0,
                             1, RngStream(0))
+
+
+POLY = (0.5, -1.0, 2.0, 0.3)
+# the CLI integrands as they were written point by point
+PER_POINT = {
+    "quadratic": lambda x: float(np.dot(x, x)),
+    "cos": lambda x: float(np.cos(np.sum(x))),
+    "exp": lambda x: float(np.exp(np.sum(x))),
+    "custom-poly:0.5,-1,2,0.3": lambda x: float(polyval(np.sum(x), POLY)),
+}
+ONE_PASS_CASES = [
+    (_random_grid(2), U2, False),
+    (Grid(0.2 + 0.6 * _random_grid(3).points), U2, True),
+    (Grid([0.0, 0.3, 0.55, 1.0]), U1, False),
+    (Grid([0.2, 0.5, 0.9]), U1, True),
+]
+
+
+@pytest.mark.parametrize("text", sorted(PER_POINT))
+@pytest.mark.parametrize("grid, dist, extended", ONE_PASS_CASES)
+def test_one_pass_equals_separate_calls(text, grid, dist, extended):
+    F_rows, lip = _make_integrand(text, None, grid, dist)
+    args = (grid, dist, S2)
+    kw = dict(extended=extended, chunk=2048)
+    table, rep = weights_and_report(*args, F_rows, lip, 5000, RngStream(21),
+                                    **kw)
+    ref_table = weights(*args, 5000, RngStream(21), **kw)
+    ref_rep = second_order_report(*args, PER_POINT[text], lip, 5000,
+                                  RngStream(21), **kw)
+    assert np.array_equal(table.weights, ref_table.weights)
+    assert (table.n_samples, table.seed) == (5000, 21)
+    assert vars(rep) == vars(ref_rep)
+    assert expect(table, F_rows) == expect(table, PER_POINT[text])
+
+
+def test_weights_and_report_validation():
+    g = Grid([0.0, 1.0])
+    F = lambda X: X[:, 0]
+    for bad_F in (lambda X: 0.5,  # a scalar broadcast over the block
+                  lambda X: X,  # (m, 1)
+                  lambda X: X[:, 0] if len(X) == g.n else X[:3, 0]):
+        with pytest.raises(ValueError, match="integrand"):
+            weights_and_report(g, U1, S2, bad_F, 1.0, 100, RngStream(0))
+    with pytest.raises(ValueError, match="l2"):
+        weights_and_report(g, U1, NormSpec("l1", 2), F, 1.0, 100,
+                           RngStream(0))
+    for lip in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="F_prime_lipschitz"):
+            weights_and_report(g, U1, S2, F, lip, 100, RngStream(0))
+    with pytest.raises(ValueError, match="dimension"):
+        weights_and_report(g, U2, S2, F, 1.0, 100, RngStream(0))
+    with pytest.raises(ValueError, match="two samples"):
+        weights_and_report(g, U1, S2, F, 1.0, 1, RngStream(0))
+    table, rep = weights_and_report(g, U1, S2, F, 0.0, 100, RngStream(0))
+    assert rep.bound == 0.0 and table.n_samples == 100
 
 
 def test_convex_dominance_directions():

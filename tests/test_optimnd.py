@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualquant.batch import BatchSolver
 from dualquant.distributions import DistributionSpec, make_normal, make_uniform_box
 from dualquant.errors import NonDifferentiableError
 from dualquant.geometry import EUCLIDEAN_QUADRATIC as S2
@@ -9,6 +10,7 @@ from dualquant.lp import local_dq_solve
 from dualquant.metrics import dq_values_batch, mc_dq_error
 from dualquant.optim1d import gradient_1d
 from dualquant.optimnd import (
+    _GRADIENT_ROWS,
     TrainConfig,
     TrainReport,
     cvlq_step,
@@ -172,6 +174,45 @@ def test_mc_gradient_single_sample_block():
     np.testing.assert_allclose(g[0], [-1 / 3, -1 / 3], atol=1e-12)
     np.testing.assert_allclose(g[1], [1 / 3, -1 / 3], atol=1e-12)
     np.testing.assert_allclose(g[2], [-1 / 3, 1 / 3], atol=1e-12)
+
+
+def _gradient_loop(grid, dist, spec, n_samples, rng):
+    """One shard of mc_gradient as it was: np.add.at per solved block."""
+    n, d, p = grid.n, grid.dim, spec.p
+    solver = BatchSolver(grid, spec, extended=True)
+    X = np.asarray(dist.sampler(rng.substream(0), n_samples), float)
+    gs, gq = np.zeros((n, d)), np.zeros((n, d))
+    exterior = 0
+    for s in range(0, n_samples, _GRADIENT_ROWS):
+        Xb = X[s:s + _GRADIENT_ROWS]
+        sol = solver.solve(Xb)
+        exterior += int(np.sum(sol.nearest >= 0))
+        diff = grid.points[sol.basis] - Xb[:, None, :]
+        r = np.sqrt(np.sum(diff * diff, axis=-1, keepdims=True))
+        vec = sol.weights[..., None] * (p * r ** (p - 2.0) * diff
+                                        - sol.u1[:, None, :])
+        idx, vec = sol.basis.ravel(), vec.reshape(-1, d)
+        np.add.at(gs, idx, vec)
+        np.add.at(gq, idx, vec ** 2)
+    grad = gs / n_samples
+    var = np.maximum(gq - n_samples * grad ** 2, 0.0) / (n_samples - 1)
+    return grad, np.sqrt(var / n_samples), exterior
+
+
+@pytest.mark.parametrize("grid, dist, spec", [
+    (Grid(np.random.default_rng(4).uniform(-1.5, 1.5, size=(12, 2))),
+     make_normal(dim=2), S2),
+    (Grid([0.1, 0.35, 0.4, 0.8]), make_uniform_box([0.0], [1.0]),
+     NormSpec("l2", 3.0)),
+])
+def test_mc_gradient_matches_the_scatter_loop(grid, dist, spec):
+    n = 2 * _GRADIENT_ROWS + 500  # one shard of three solved blocks
+    grad, std = mc_gradient(grid, dist, spec, n, RngStream(31),
+                            return_std=True)
+    ref_grad, ref_std, exterior = _gradient_loop(grid, dist, spec, n,
+                                                 RngStream(31))
+    assert exterior > 0
+    assert np.array_equal(grad, ref_grad) and np.array_equal(std, ref_std)
 
 
 def test_mc_gradient_zero_at_1d_optimum():
