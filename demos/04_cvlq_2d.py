@@ -2,11 +2,12 @@
 Planar grid training: stochastic updates plus refinement
 ========================================================
 
-Each step draws one sample, solves the local problem on the current
-grid, and pulls the active vertices toward the sample's circumcenter
-target, weighted by their barycentric share.  Samples falling outside
-the hull drag the nearest point outward instead, growing the covered
-region.  A quasi-Newton refinement stage then polishes the grid
+Each sample pulls the vertices of its optimal simplex toward the
+simplex's circumcenter, weighted by their barycentric share; samples
+falling outside the hull drag the nearest point outward instead,
+growing the covered region.  Samples are solved in blocks of 64 on the
+grid as it stood at the block's start, and each block's pulls are
+applied at once.  A quasi-Newton refinement stage then polishes the grid
 against a fixed Monte Carlo objective.
 
 The run pins the four unit-square corners so the hull always covers

@@ -8,7 +8,8 @@
 * a grid in d >= 3 under the Euclidean norm with p = 2 uses the Qhull
   Delaunay simplex that contains the query; only rows near the hull,
   and for ``solve`` rows with more than one optimal basis, take the LP;
-* every other setting, and a grid Qhull rejects, solves one LP per row.
+* every other setting, and a grid Qhull rejects or thins (flat, or a
+  point too close to another), solves one LP per row.
 
 Rows outside the convex hull of the grid are handled here, once: they
 raise SampleOutsideHullError unless the solver is extended, in which
@@ -17,11 +18,12 @@ the one loop that splits Monte Carlo work into numbered shards.
 
 Ties: on a cocircular grid more than one simplex is optimal at a row.
 The planar path answers with the triangle of the canonical
-triangulation, so ``cubature.weights`` and ``optimnd.mc_gradient`` use
-it; ``lp.local_dq_solve``, ``splitting.split`` and the d >= 3 path
-answer with the LP's lexicographically smallest basis.  The value is
-the same either way (on a 5 x 5 product grid, 192 of 400 random rows
-get another basis and the values agree to 7e-18).
+triangulation, so ``cubature.weights``, ``optimnd.mc_gradient`` and
+``optimnd.train`` use it; ``lp.local_dq_solve``, ``splitting.split``,
+``optimnd.cvlq_step`` and the d >= 3 path answer with the LP's
+lexicographically smallest basis.  The value is the same either way
+(on a 5 x 5 product grid, 192 of 400 random rows get another basis and
+the values agree to 7e-18).
 """
 
 from __future__ import annotations
@@ -297,11 +299,11 @@ class BatchSolver:
         self.extended = extended
         if grid.dim == 1 and grid.n >= 2:
             self._path = _Segments(grid, spec)
-        elif grid.dim == 2 and grid.n >= 3 and spec.is_euclidean_quadratic:
-            self._path = _Planar(grid, extended)
-        elif grid.dim >= 3 and spec.is_euclidean_quadratic:
+        elif (grid.dim >= 2 and grid.n > grid.dim
+              and spec.is_euclidean_quadratic):
+            mesh = _Planar if grid.dim == 2 else _Simplicial
             try:
-                self._path = _Simplicial(grid, extended)
+                self._path = mesh(grid, extended)
             except (QhullError, FlatGridError):  # rejected or dropped points
                 self._path = _PerRowLP(grid, spec, extended)
         else:

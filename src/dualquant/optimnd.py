@@ -6,9 +6,11 @@ the barycentric weight and a Robbins-Monro step size a/(b+k).  Samples
 outside the hull pull their nearest neighbour instead, which is the
 stochastic gradient of the exterior branch of the extended functional.
 
-The planar Euclidean-quadratic loop runs on a periodically rebuilt
-triangulation with plain-float arithmetic; location failures between
-rebuilds and all other settings go through the LP solver.
+``train`` runs the rule for every d in blocks of 64 samples: one
+``BatchSolver`` solves a block on the grid as it stood at the block's
+start, and the block's moves are summed in sample order and applied
+once.  ``mc_gradient`` and ``refine`` use the same formula on a fixed
+sample set; ``cvlq_step`` is the one-sample update through the LP.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import BatchSolver, shard_reduce
-from .delaunay import triangulate
 from .distributions import DistributionSpec
 from .errors import FlatGridError, InfeasibleError, NonDifferentiableError
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec
@@ -30,7 +31,7 @@ from .splitting import nn_project
 
 _PROBE_STREAM = 0x7FFFFFFF  # substream reserved for degeneracy probes
 _GRADIENT_ROWS = 4096  # rows per solve in a gradient shard: bounds memory
-_RETRIANGULATE_EVERY = 64  # planar training steps between mesh rebuilds
+_RETRIANGULATE_EVERY = 64  # training samples solved on one mesh
 
 
 @dataclass(frozen=True)
@@ -78,36 +79,28 @@ class TrainReport:
 
 def cvlq_step(grid: Grid, xi, alpha: float,
               spec: NormSpec = EUCLIDEAN_QUADRATIC) -> Grid:
-    """One competitive-learning update from a single sample.
+    """One competitive-learning update from a single sample, by the LP.
 
     Basis vertices move toward z* = xi + u1/2 by alpha times their
     weight; outside the hull the nearest neighbour moves toward the
-    sample.  Pinned points never move.
+    sample.  Pinned points never move.  On a tie the LP's
+    lexicographically smallest basis moves.
     """
     if not spec.is_euclidean_quadratic:
         raise ValueError("the update needs the Euclidean norm with p = 2")
+    xi = np.asarray(xi, dtype=float).reshape(-1)
     pts = grid.points.copy()
-    _lp_update(pts, grid.pinned, np.asarray(xi, dtype=float).reshape(-1),
-               alpha)
-    return grid.with_points(pts)
-
-
-def _lp_update(pts: np.ndarray, pinned, xi: np.ndarray, alpha: float) -> int:
-    """LP-route update of ``pts`` in place; returns 1 when xi was outside
-    the hull (nearest-neighbour pull applied), else 0."""
-    g = Grid(pts)
     try:
-        sol = local_dq_solve(g, xi, EUCLIDEAN_QUADRATIC)
+        sol = local_dq_solve(grid, xi, EUCLIDEAN_QUADRATIC)
     except InfeasibleError:
-        j = nn_project(g, xi, EUCLIDEAN_QUADRATIC)
-        if j not in pinned:
-            pts[j] -= alpha * (pts[j] - xi)
-        return 1
-    z = sol.z_star()
-    for idx, w in zip(sol.basis, sol.weights):
-        if idx not in pinned:
+        j = nn_project(grid, xi, EUCLIDEAN_QUADRATIC)
+        basis, weights, z = [j], [1.0], xi
+    else:
+        basis, weights, z = sol.basis, sol.weights, sol.z_star()
+    for idx, w in zip(basis, weights):
+        if idx not in grid.pinned:
             pts[idx] -= alpha * float(w) * (pts[idx] - z)
-    return 0
+    return grid.with_points(pts)
 
 
 def _init_points(dist: DistributionSpec, n: int, anchors: np.ndarray,
@@ -116,10 +109,11 @@ def _init_points(dist: DistributionSpec, n: int, anchors: np.ndarray,
     for _ in range(16):
         drawn = np.asarray(dist.sampler(stream, n - len(anchors)), float)
         pts = np.vstack([anchors, drawn]) if len(anchors) else drawn
-        centered = pts - pts.mean(axis=0)
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(pts))))
-        if (len(np.unique(pts, axis=0)) == n
-                and np.linalg.matrix_rank(centered, tol=tol) == d):
+        if len(np.unique(pts, axis=0)) != n:
+            continue
+        # rank in the points' own units, so scale and offset do not matter
+        unit = (pts - pts.mean(axis=0)) / float(np.max(np.ptp(pts, axis=0)))
+        if np.linalg.matrix_rank(unit, tol=1e-9) == d:
             return pts
     raise FlatGridError("could not draw an affinely spanning initial grid")
 
@@ -141,7 +135,6 @@ def train(dist: DistributionSpec, n: int, config: TrainConfig) -> TrainReport:
         raise ValueError("more anchors than grid points")
     rng = RngStream(config.seed)
     pts = _init_points(dist, n, anchors, rng.substream(0))
-    sample_stream = rng.substream(1)
     eval_stream = rng.substream(2)
     pinned = frozenset(range(len(anchors)))
     trace: list = []
@@ -151,16 +144,8 @@ def train(dist: DistributionSpec, n: int, config: TrainConfig) -> TrainReport:
                           config.trace_samples, eval_stream, extended=True)
         trace.append((step, est))
 
-    outside = 0
-    if config.steps > 0:
-        if d == 2:
-            coords, outside = _train_plane(pts, pinned, dist, config,
-                                           sample_stream, record)
-        else:
-            coords, outside = _train_lp(pts, pinned, dist, config,
-                                        sample_stream, record)
-    else:
-        coords = pts
+    coords, outside = _train_blocks(pts, pinned, dist, config,
+                                    rng.substream(1), record)
     grid = Grid(coords, pinned)
     if config.refine_iters > 0:
         grid = refine(grid, dist, iters=config.refine_iters,
@@ -172,136 +157,47 @@ def train(dist: DistributionSpec, n: int, config: TrainConfig) -> TrainReport:
                        outside / max(config.steps, 1))
 
 
-def _walk(tris, nbrs, xs, ys, t0: int, px: float, py: float) -> int:
-    """Plain-float orientation walk on possibly stale topology.
-
-    Returns the triangle index, -1 after stepping over a hull edge, or
-    -2 when the step cap trips (moved vertices can make the stale mesh
-    inconsistent, so the walk may cycle)."""
-    nt = len(tris)
-    t = t0 if 0 <= t0 < nt else 0
-    tol = 1e-9 * (1.0 + abs(px) + abs(py))
-    for _ in range(2 * nt + 8):
-        ia, ib, ic = tris[t]
-        ax, ay = xs[ia], ys[ia]
-        bx, by = xs[ib], ys[ib]
-        cx, cy = xs[ic], ys[ic]
-        s = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
-        if s < -tol * (abs(bx - ax) + abs(by - ay) + 1e-30):
-            t = nbrs[t][2]
-            if t == -1:
-                return -1
-            continue
-        s = (cx - bx) * (py - by) - (px - bx) * (cy - by)
-        if s < -tol * (abs(cx - bx) + abs(cy - by) + 1e-30):
-            t = nbrs[t][0]
-            if t == -1:
-                return -1
-            continue
-        s = (ax - cx) * (py - cy) - (px - cx) * (ay - cy)
-        if s < -tol * (abs(ax - cx) + abs(ay - cy) + 1e-30):
-            t = nbrs[t][1]
-            if t == -1:
-                return -1
-            continue
-        return t
-    return -2
+def _scatter_sum(idx: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
+    """(n, d) sums of the columns of ``vec`` (d, m) onto grid points
+    ``idx`` (m,), added in column order: one bincount per coordinate."""
+    return np.column_stack([np.bincount(idx, v, n) for v in vec])
 
 
-def _train_plane(pts, pinned, dist, cfg, sample_stream, record):
-    n = len(pts)
-    xs = pts[:, 0].tolist()
-    ys = pts[:, 1].tolist()
-    pin = [i in pinned for i in range(n)]
-    a, b = cfg.a, cfg.b
-    trace_every = cfg.trace_every
-    tris: list = []
-    nbrs: list = []
-    topo_ok = False
-    hint = 0
+def _train_blocks(pts, pinned, dist, cfg, sample_stream, record):
+    """Competitive learning in blocks of 64 samples, for every d.
 
-    def rebuild() -> None:
-        nonlocal tris, nbrs, topo_ok, hint
-        try:
-            t = triangulate(Grid(np.column_stack([xs, ys])))
-        except (FlatGridError, ValueError):
-            topo_ok = False
-            return
-        tris, nbrs, topo_ok, hint = t.triangles, t.neighbors, True, 0
-
-    rebuild()
-    outside = 0
-    k = 0
-    steps = cfg.steps
-    while k < steps:
-        take = min(1024, steps - k)
-        batch = np.asarray(dist.sampler(sample_stream, take), float)
-        sx = batch[:, 0].tolist()
-        sy = batch[:, 1].tolist()
-        for m in range(take):
-            if trace_every and k % trace_every == 0:
-                record(k, np.column_stack([xs, ys]))
-            if k and k % _RETRIANGULATE_EVERY == 0:
-                rebuild()
-            px, py = sx[m], sy[m]
-            alpha = a / (b + k)
-            t = _walk(tris, nbrs, xs, ys, hint, px, py) if topo_ok else -2
-            if t >= 0:
-                hint = t
-                ia, ib, ic = tris[t]
-                ax, ay = xs[ia], ys[ia]
-                bx, by = xs[ib], ys[ib]
-                cx, cy = xs[ic], ys[ic]
-                det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-                if det != 0.0:
-                    l1 = ((px - ax) * (cy - ay) - (cx - ax) * (py - ay)) / det
-                    l2 = ((bx - ax) * (py - ay) - (px - ax) * (by - ay)) / det
-                    l0 = 1.0 - l1 - l2
-                    dd = 2.0 * (ax * (by - cy) + bx * (cy - ay)
-                                + cx * (ay - by))
-                    if (l0 >= -1e-9 and l1 >= -1e-9 and l2 >= -1e-9
-                            and dd != 0.0):
-                        a2 = ax * ax + ay * ay
-                        b2 = bx * bx + by * by
-                        c2 = cx * cx + cy * cy
-                        ux = (a2 * (by - cy) + b2 * (cy - ay)
-                              + c2 * (ay - by)) / dd
-                        uy = (a2 * (cx - bx) + b2 * (ax - cx)
-                              + c2 * (bx - ax)) / dd
-                        if not pin[ia]:
-                            xs[ia] -= alpha * l0 * (xs[ia] - ux)
-                            ys[ia] -= alpha * l0 * (ys[ia] - uy)
-                        if not pin[ib]:
-                            xs[ib] -= alpha * l1 * (xs[ib] - ux)
-                            ys[ib] -= alpha * l1 * (ys[ib] - uy)
-                        if not pin[ic]:
-                            xs[ic] -= alpha * l2 * (xs[ic] - ux)
-                            ys[ic] -= alpha * l2 * (ys[ic] - uy)
-                    else:
-                        t = -2
-                else:
-                    t = -2
-            if t < 0:
-                live = np.column_stack([xs, ys])
-                outside += _lp_update(live, pinned, np.array([px, py]), alpha)
-                xs[:], ys[:] = live[:, 0].tolist(), live[:, 1].tolist()
-            k += 1
-    return np.column_stack([xs, ys]), outside
-
-
-def _train_lp(pts, pinned, dist, cfg, sample_stream, record):
+    Each block is solved on its block-start grid by one BatchSolver.
+    Sample k moves every basis point x_i by a/(b+k) lam_i (z_k - x_i),
+    z_k = xi_k + u1/2 (an exterior sample: its nearest point, lam = 1,
+    u1 = 0).  The moves are summed in sample order and applied once, a
+    mini-batch Robbins-Monro step.  A trace entry at step k inside a
+    block sees the moves of the block's first samples up to k.  Returns
+    the trained points and the number of exterior samples.
+    """
     coords = np.array(pts, dtype=float)
-    outside = 0
-    k = 0
+    n, d = coords.shape
+    frozen = np.isin(np.arange(n), list(pinned))
+    block, outside, k = _RETRIANGULATE_EVERY, 0, 0
     while k < cfg.steps:
-        take = min(1024, cfg.steps - k)
-        batch = np.asarray(dist.sampler(sample_stream, take), float)
-        for m in range(take):
-            if cfg.trace_every and k % cfg.trace_every == 0:
-                record(k, coords.copy())
-            outside += _lp_update(coords, pinned, batch[m],
-                                  cfg.a / (cfg.b + k))
-            k += 1
+        batch = np.asarray(dist.sampler(sample_stream,
+                                        min(1024, cfg.steps - k)), float)
+        for X in np.split(batch, range(block, len(batch), block)):
+            sol = BatchSolver(Grid(coords), EUCLIDEAN_QUADRATIC,
+                              extended=True).solve(X)
+            outside += int(np.count_nonzero(sol.nearest >= 0))
+            step = cfg.a / (cfg.b + k + np.arange(len(X)))
+            z = X + 0.5 * sol.u1
+            move = ((step[:, None] * sol.weights)[..., None]
+                    * (z[:, None, :] - coords[sol.basis]))
+            move[frozen[sol.basis]] = 0.0
+            idx, vec = sol.basis.ravel(), move.reshape(-1, d).T
+            every = cfg.trace_every
+            for t in range(-k % every, len(X), every) if every else ():
+                rows = t * (d + 1)
+                record(k + t, coords + _scatter_sum(idx[:rows],
+                                                    vec[:, :rows], n))
+            coords += _scatter_sum(idx, vec, n)
+            k += len(X)
     return coords, outside
 
 
@@ -370,8 +266,7 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
             rows = slice(s * (d + 1), (s + len(Xb)) * (d + 1))
             idx[rows] = sol.basis.ravel()
             vec[:, rows] = block.reshape(-1, d).T
-        return (np.column_stack([np.bincount(idx, v, n) for v in vec]),
-                np.column_stack([np.bincount(idx, v ** 2, n) for v in vec]))
+        return _scatter_sum(idx, vec, n), _scatter_sum(idx, vec ** 2, n)
 
     gsum, gsq = shard_reduce(n_samples, chunk, 1, shard)
     grad = gsum / n_samples

@@ -174,6 +174,10 @@ def test_planar_weights_equal_lp_picks():
                            np.zeros(10)])), S2, "lp"),
     (Grid(np.vstack([_box_grid(3, 0, 0).points, [[1e-15, 0.0, 0.0]]])),
      S2, "lp"),
+    # the planar mesh falls back by the same rule
+    (Grid(np.column_stack([np.random.default_rng(0).random(10),
+                           np.zeros(10)])), S2, "lp"),
+    (Grid(np.vstack([_box_grid(2, 0, 0).points, [[1e-15, 0.0]]])), S2, "lp"),
 ])
 def test_path_is_chosen_from_dimension_and_norm(grid, spec, path):
     assert BatchSolver(grid, spec).path == path

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from dualquant.rng import RngStream
 TRIANGLE = Grid([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 U2 = make_uniform_box([0.0, 0.0], [1.0, 1.0])
 CORNERS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+U3 = make_uniform_box([0.0] * 3, [1.0] * 3)
+CUBE = tuple(itertools.product((0.0, 1.0), repeat=3))
 
 
 def _point_mass(xi):
@@ -166,6 +170,74 @@ def test_train_input_validation():
         train(U2, 2, TrainConfig(steps=1))
     with pytest.raises(ValueError):
         train(U2, 3, TrainConfig(steps=1, anchors=CORNERS))
+
+
+@pytest.mark.parametrize("lo, hi", [([0.0, 0.0], [1e-9, 1e-9]),
+                                    ([1e9, 1e9], [1e9 + 1.0, 1e9 + 1.0])])
+def test_initial_grid_does_not_depend_on_units(lo, hi):
+    rep = train(make_uniform_box(lo, hi), 8, TrainConfig(steps=0))
+    assert rep.grid.n == 8
+    assert np.all(rep.grid.points >= lo) and np.all(rep.grid.points <= hi)
+
+
+def _lp_block(grid, X, k0, cfg):
+    """The block-start grid plus the one-sample LP moves of every row of
+    X, each taken on that same grid, with steps a/(b+k) from k = k0."""
+    total = np.zeros_like(grid.points)
+    for k, x in enumerate(X, start=k0):
+        total += cvlq_step(grid, x, cfg.a / (cfg.b + k)).points - grid.points
+    return grid.points + total
+
+
+@pytest.mark.parametrize("dist, n, cfg", [
+    (make_normal(dim=2), 12,
+     TrainConfig(steps=128, anchors=((0.0, 0.0), (0.3, -0.2)), seed=3,
+                 b=10.0)),
+    (U3, 14, TrainConfig(steps=64, anchors=CUBE, seed=5, b=10.0)),
+])
+def test_block_update_equals_summed_lp_steps(dist, n, cfg):
+    """Each 64-sample block moves the grid by the sum of the per-sample
+    LP moves on the block-start grid.  Both answer with the same simplex:
+    the 2D rows are untied, and the 3D path gives tied rows to the LP."""
+    X = np.asarray(dist.sampler(RngStream(cfg.seed).substream(1),
+                                cfg.steps), float)
+    grid = train(dist, n, TrainConfig(steps=0, anchors=cfg.anchors,
+                                      seed=cfg.seed)).grid
+    pins = sorted(grid.pinned)
+    exterior = 0
+    for k0 in range(0, cfg.steps, 64):
+        block = X[k0:k0 + 64]
+        solver = BatchSolver(grid, S2, extended=True)
+        sol = solver.solve(block)
+        if dist.dim == 2:
+            assert not solver.tied(block).any()
+        assert np.isin(sol.basis, pins).any()  # the pin mask is exercised
+        exterior += int(np.count_nonzero(sol.nearest >= 0))
+        want = _lp_block(grid, block, k0, cfg)
+        step = TrainConfig(steps=k0 + 64, anchors=cfg.anchors,
+                           seed=cfg.seed, b=cfg.b)
+        got = train(dist, n, step)
+        np.testing.assert_allclose(got.grid.points, want, rtol=0, atol=1e-12)
+        assert got.outside_fraction * (k0 + 64) == exterior
+        grid = got.grid
+    assert exterior > 0 or dist.dim == 3
+
+
+def test_train_3d_cube_pins_reproduces_and_improves():
+    cfg = TrainConfig(steps=300, anchors=CUBE, seed=8, trace_every=100,
+                      trace_samples=2048)
+    rep = train(U3, 16, cfg)
+    np.testing.assert_array_equal(rep.grid.points[:8], np.asarray(CUBE))
+    again = train(U3, 16, cfg)
+    assert np.array_equal(rep.grid.points, again.grid.points)
+    untraced = train(U3, 16, TrainConfig(steps=300, anchors=CUBE, seed=8))
+    assert np.array_equal(rep.grid.points, untraced.grid.points)
+    assert [s for s, _ in rep.error_trace] == [0, 100, 200, 300]
+    init = train(U3, 16, TrainConfig(steps=0, anchors=CUBE, seed=8)).grid
+    before = mc_dq_error(init, U3, S2, 20_000, RngStream(99), extended=True)
+    after = mc_dq_error(rep.grid, U3, S2, 20_000, RngStream(99),
+                        extended=True)
+    assert after.value < before.value
 
 
 def test_mc_gradient_single_sample_block():
