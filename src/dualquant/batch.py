@@ -2,48 +2,46 @@
 
 ``BatchSolver`` picks a path once per grid and serves many query rows:
 
-* an ordered 1D grid brackets each query by its two neighbours;
-* a planar grid under the Euclidean norm with p = 2 uses the Delaunay
-  triangle that contains the query;
-* a grid in d >= 3 under the Euclidean norm with p = 2 uses the Qhull
-  Delaunay simplex that contains the query; only rows near the hull,
-  and for ``solve`` rows with more than one optimal basis, take the LP;
-* every other setting, and a grid Qhull rejects or thins (flat, or a
-  point too close to another), solves one LP per row.
+* ``segments``: an ordered 1D grid brackets a query by its neighbours;
+* ``simplicial``: a grid in d >= 2 under the Euclidean norm with p = 2
+  uses the Qhull Delaunay simplex that contains the query; only rows
+  near the hull, and for ``solve`` rows on a facet or in a tied cell
+  past ``lp.TIE_BUDGET``, take the LP;
+* ``lp``: every other setting, and a grid Qhull rejects or thins (flat,
+  or a point too close to another), solves one LP per row.
 
 Rows outside the convex hull of the grid are handled here, once: they
 raise SampleOutsideHullError unless the solver is extended, in which
 case they are served by their nearest grid point.  ``shard_reduce`` is
 the one loop that splits Monte Carlo work into numbered shards.
 
-Ties: on a cocircular grid more than one simplex is optimal at a row.
-The planar path answers with the triangle of the canonical
-triangulation, so ``cubature.weights``, ``optimnd.mc_gradient`` and
-``optimnd.train`` use it; ``lp.local_dq_solve``, ``splitting.split``,
-``optimnd.cvlq_step`` and the d >= 3 path answer with the LP's
-lexicographically smallest basis.  The value is the same either way
-(on a 5 x 5 product grid, 192 of 400 random rows get another basis and
-the values agree to 7e-18).
+Ties: on a cospherical grid (any product grid) more than one simplex is
+optimal at a row.  Every path answers with the LP's lexicographically
+smallest optimal basis, which ``simplicial`` finds in closed form, so
+``cubature``, ``mc_gradient`` and ``train`` pick from the basis that
+``splitting.split`` and ``cvlq_step`` draw from.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
+from math import comb
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
-from .delaunay import (QHULL_OPTIONS, batch_solve, batch_values, hull_mask,
-                       incircle_det, incircle_eps, triangulate)
+from .delaunay import QHULL_OPTIONS
 from .errors import FlatGridError, InfeasibleError, SampleOutsideHullError
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec, norm_value_batch
-from .lp import local_dq_solve
+from .lp import TIE_BUDGET, TOL, _affinely_independent, local_dq_solve
 
 # The simplicial path leaves to the LP (whose tolerances are 1e-9) a row
 # with a barycentric weight below FACET_TOL or outside the hull by less
-# than FACET_TOL times the grid span, and a row in a simplex with another
-# grid point within SPHERE_TOL (relative) of its circumsphere.
+# than FACET_TOL times the grid span.  The grid points within SPHERE_TOL
+# (relative) of a simplex's circumsphere make up its cell.
 FACET_TOL = 1e-7
 SPHERE_TOL = 1e-8
 
@@ -120,53 +118,13 @@ class _Segments:
         return self.order[end], np.abs(X[:, 0] - self.xs[end]) ** self.p
 
 
-class _Planar:
-    """Planar Delaunay path for the Euclidean norm with p = 2."""
-
-    name = "planar"
-
-    def __init__(self, grid: Grid, extended: bool):
-        self.tri = triangulate(grid)
-        self.triangles = np.asarray(self.tri.triangles, dtype=np.intp)
-        self.tree = cKDTree(grid.points) if extended else None
-
-    def values(self, X):
-        vals = np.maximum(batch_values(self.tri, X), 0.0)
-        return hull_mask(self.tri, X), vals
-
-    def solve(self, X):
-        tidx, lam = batch_solve(self.tri, X)
-        inside = tidx >= 0
-        z, _ = self.tri.power_data()
-        t = np.where(inside, tidx, 0)
-        return inside, self.triangles[t], lam, 2.0 * (z[t] - X)
-
-    def nearest(self, X):
-        dist, j = self.tree.query(X)
-        return j, dist ** 2
-
-    def tied(self, X):
-        """Rows located in a triangle with a cocircular neighbour vertex."""
-        tidx, _ = batch_solve(self.tri, X)
-        tris, nbrs = self.triangles, np.asarray(self.tri.neighbors)
-        # the neighbour across edge k holds that edge and one more vertex
-        far = np.where(nbrs >= 0, tris[nbrs].sum(axis=2)
-                       - tris.sum(axis=1)[:, None] + tris, tris)
-        P = self.tri.points.T
-        quad = [P[:, tris[:, k:k + 1]] for k in range(3)] + [P[:, far]]
-        tie = (nbrs >= 0) & (np.abs(incircle_det(*quad)) <= incircle_eps(*quad))
-        return (tidx >= 0) & tie.any(axis=1)[tidx]
-
-
 class _PerRowLP:
     """One LP per row; the basis is sorted by grid index."""
 
     name = "lp"
 
     def __init__(self, grid: Grid, spec: NormSpec, extended: bool):
-        self.grid = grid
-        self.spec = spec
-        self.extended = extended
+        self.grid, self.spec, self.extended = grid, spec, extended
 
     def _solutions(self, X):
         sols = [None] * len(X)
@@ -201,12 +159,13 @@ class _PerRowLP:
 
 
 class _Simplicial(_PerRowLP):
-    """Qhull Delaunay path for d >= 3, Euclidean norm with p = 2: the
-    optimal basis is the Delaunay simplex containing the row, sorted by
-    grid index like the LP's.  Rows near the hull take the LP; so do
-    rows in a tied simplex or on a facet when the basis is asked for,
-    since the LP keeps the lexicographically smallest one.  Geometry
-    runs on centred coordinates, so an offset grid loses no precision."""
+    """Qhull Delaunay path for d >= 2, Euclidean norm with p = 2.  The
+    basis is the Delaunay simplex holding the row, sorted by grid index,
+    and F^2 = r^2 - |xi - z|^2 on its circumsphere (z, r).  A tied simplex
+    answers by the LP's rule: the lexicographically first (d+1)-subset of
+    its cell, the grid points on its sphere, that holds the row.  Rows
+    near the hull or on a facet, and cells past TIE_BUDGET, take the LP.
+    Geometry runs on centred points: an offset costs no precision."""
 
     name = "simplicial"
 
@@ -214,7 +173,7 @@ class _Simplicial(_PerRowLP):
         super().__init__(grid, EUCLIDEAN_QUADRATIC, extended)
         P, d = grid.points, grid.dim
         self.center = P.mean(axis=0)
-        Pc = P - self.center
+        Pc = self.Pc = P - self.center
         self.qhull = Delaunay(Pc, qhull_options=QHULL_OPTIONS)
         if len(self.qhull.coplanar):
             raise FlatGridError("Qhull left a grid point out of the mesh")
@@ -224,53 +183,100 @@ class _Simplicial(_PerRowLP):
         T, S = self.qhull.transform, self.qhull.simplices
         y = 0.5 * np.einsum("tji,tj->ti", T[:, :d],
                             np.sum((Pc[S[:, :d]] - T[:, d, None]) ** 2, axis=2))
-        self.z, r2 = T[:, d] + y, np.sum(y * y, axis=1)
-        span2 = float(np.sum(np.ptp(P, axis=0) ** 2))
-        self.span = np.sqrt(span2)
-        # tied: more than the d+1 vertices within the sphere's slack;
-        # flat simplices (NaN transforms) count as tied
-        on_sphere = np.full(len(S), d + 2)
-        ok = np.isfinite(r2)
-        slack = SPHERE_TOL * np.maximum(r2, span2)
-        on_sphere[ok] = self.tree.query_ball_point(
-            self.z[ok], np.sqrt(r2 + slack)[ok], return_length=True)
-        self.tied_simplex = on_sphere > d + 1
+        self.z, self.r2 = T[:, d] + y, np.sum(y * y, axis=1)
+        self.flat = ~np.isfinite(self.r2)  # NaN transforms
+        self.span = float(np.sqrt(np.sum(np.ptp(P, axis=0) ** 2)))
+        self.spread = float(np.max(np.abs(Pc))) or 1.0  # as in unit_frame
+        slack = SPHERE_TOL * np.maximum(self.r2, self.span ** 2)
+        self.ball = np.sqrt(self.r2 + slack)  # holds the points on the sphere
 
     def _locate(self, X):
-        """Located simplex (-1 outside) with basis and weights sorted by
-        grid index, and row masks: ``doubt``, where only the LP can tell
-        inside from outside (near the hull, NaN weights); ``tie``, where
-        the basis is not unique (a tied simplex, a facet) but the value
-        is; and the clearly exterior rows."""
+        """Located simplex (0 outside), centred rows, and row masks:
+        ``doubt``, where only the LP can tell inside from outside (near
+        the hull, a flat simplex), and the clearly exterior rows."""
         d, Xc = X.shape[1], X - self.center
         s = self.qhull.find_simplex(Xc)
-        t = np.maximum(s, 0)
-        T = self.qhull.transform[t]
-        c = np.einsum("nij,nj->ni", T[:, :d], Xc - T[:, d])
-        w = np.column_stack([c, 1.0 - c.sum(axis=1)])
-        order = np.argsort(self.qhull.simplices[t], axis=1)
-        basis = np.take_along_axis(self.qhull.simplices[t], order, axis=1)
-        w = np.take_along_axis(w, order, axis=1)
         out = s < 0
         near = out.copy()
         near[out] = np.max(Xc[out] @ self.hull[:, :d].T + self.hull[:, d],
                            axis=1) <= FACET_TOL * self.span
-        doubt = near | (~out & np.isnan(w).any(axis=1))
-        tie = ~out & (self.tied_simplex[t] | (w.min(axis=1) < FACET_TOL))
-        return s, basis, w, doubt, tie, out & ~near
+        t = np.maximum(s, 0)
+        return t, Xc, near | (~out & self.flat[t]), out & ~near
+
+    def _inverses(self, bases, ok=None):
+        """Inverse extended matrices [P; 1] of index rows ``bases``, in units
+        of the spread; NaN where ``ok`` (default: the LP's rank test) fails."""
+        M = np.concatenate([self.Pc[bases] / self.spread,
+                            np.ones(bases.shape + (1,))], axis=-1)
+        ok = _affinely_independent(M) if ok is None else ok
+        inverse = np.full(M.shape, np.nan)
+        inverse[ok] = np.linalg.inv(np.swapaxes(M[ok], -1, -2))
+        return inverse
+
+    @cached_property
+    def _sorted(self):
+        """Per simplex, its vertices by grid index and their inverse."""
+        verts = np.sort(self.qhull.simplices, axis=1)
+        return verts, self._inverses(verts, ~self.flat)
+
+    @cached_property
+    def tied_simplex(self):
+        """Flat, or more than d+1 grid points on the sphere."""
+        z, ball = np.nan_to_num(self.z), np.nan_to_num(self.ball)
+        on_sphere = self.tree.query_ball_point(z, ball, return_length=True)
+        return self.flat | (on_sphere > self.grid.dim + 1)
+
+    @cached_property
+    def _cells(self):
+        """Cell id per simplex (-1: untied or past TIE_BUDGET); per cell its
+        (d+1)-subsets, lexicographic, padded with point 0, and inverses."""
+        d, tied = self.grid.dim, np.flatnonzero(self.tied_simplex & ~self.flat)
+        ids, cell_of = {}, np.full(len(self.r2), -1)
+        for t, cell in zip(tied, self.tree.query_ball_point(
+                self.z[tied], self.ball[tied], return_sorted=True)):
+            if comb(len(cell), d + 1) <= TIE_BUDGET:
+                cell_of[t] = ids.setdefault(tuple(cell), len(ids))
+        K = max((comb(len(cell), d + 1) for cell in ids), default=0)
+        bases = np.zeros((len(ids), K, d + 1), dtype=np.intp)
+        for c, cell in enumerate(ids):
+            bases[c, :comb(len(cell), d + 1)] = list(combinations(cell, d + 1))
+        return cell_of, bases, self._inverses(bases)
+
+    def _first_holding(self, t, Xu):
+        """Per unit-spread row [xi - centre, 1] in tied simplex t, the first
+        subset of its cell that holds it within TOL; NaN weights if none."""
+        cell_of, bases, inverse = self._cells
+        c, live = cell_of[t], np.flatnonzero(cell_of[t] >= 0)
+        basis, w = np.zeros(Xu.shape, dtype=np.intp), np.full(Xu.shape, np.nan)
+        for k in range(bases.shape[1]):
+            if not live.size:
+                break
+            wk = np.einsum("nij,nj->ni", inverse[c[live], k], Xu[live])
+            hit = wk.min(axis=1) >= -TOL
+            basis[live[hit]], w[live[hit]] = bases[c[live[hit]], k], wk[hit]
+            live = live[~hit]
+        return basis, w
 
     def values(self, X):
-        _, basis, w, lp, _, exterior = self._locate(X)
-        cost = np.sum((X[:, None, :] - self.grid.points[basis]) ** 2, axis=2)
-        vals, inside = np.sum(w * cost, axis=1), ~exterior
+        t, Xc, lp, exterior = self._locate(X)
+        D = Xc - self.z[t]
+        vals = np.maximum(self.r2[t] - np.einsum("ij,ij->i", D, D), 0.0)
+        inside = ~exterior
         if lp.any():
             inside[lp], vals[lp] = super().values(X[lp])
         return inside, vals
 
     def solve(self, X):
-        s, basis, w, doubt, tie, exterior = self._locate(X)
-        u1, inside = 2.0 * (self.z[s] - (X - self.center)), ~exterior
-        lp = doubt | tie
+        t, Xc, doubt, exterior = self._locate(X)
+        verts, inverse = self._sorted
+        Xu = np.column_stack([Xc / self.spread, np.ones(len(X))])
+        basis, w = verts[t], np.einsum("nij,nj->ni", inverse[t], Xu)
+        u1, inside = 2.0 * (self.z[t] - Xc), ~exterior
+        lp = doubt | (inside & ~(w.min(axis=1) >= FACET_TOL))  # NaN too
+        tie = inside & ~lp & self.tied_simplex[t]
+        if tie.any():
+            basis[tie], w[tie] = self._first_holding(t[tie], Xu[tie])
+            lp |= tie & ~(w.min(axis=1) >= FACET_TOL)
         if lp.any():
             inside[lp], basis[lp], w[lp], u1[lp] = super().solve(X[lp])
         return inside, basis, w, u1
@@ -288,11 +294,11 @@ class _Simplicial(_PerRowLP):
 class BatchSolver:
     """Local solutions of the dual quantization LP for batches of rows.
 
-    The path (ordered 1D, planar Delaunay, Qhull Delaunay in d >= 3, or
-    one LP per row) is chosen here, from the grid and the norm alone,
-    and nowhere else.  Without ``extended`` a row outside the hull
-    raises SampleOutsideHullError; with it, the row is served by its
-    nearest grid point, whose value is the p-th power distance.
+    The path (ordered 1D, Qhull Delaunay in d >= 2, or one LP per row)
+    is chosen here, from the grid and the norm alone, and nowhere else.
+    Without ``extended`` a row outside the hull raises
+    SampleOutsideHullError; with it, the row is served by its nearest
+    grid point, whose value is the p-th power distance.
     """
 
     def __init__(self, grid: Grid, spec: NormSpec, extended: bool = False):
@@ -301,9 +307,8 @@ class BatchSolver:
             self._path = _Segments(grid, spec)
         elif (grid.dim >= 2 and grid.n > grid.dim
               and spec.is_euclidean_quadratic):
-            mesh = _Planar if grid.dim == 2 else _Simplicial
             try:
-                self._path = mesh(grid, extended)
+                self._path = _Simplicial(grid, extended)
             except (QhullError, FlatGridError):  # rejected or dropped points
                 self._path = _PerRowLP(grid, spec, extended)
         else:
@@ -311,7 +316,7 @@ class BatchSolver:
 
     @property
     def path(self) -> str:
-        """The path serving rows: "segments", "planar", "simplicial" or "lp"."""
+        """The path serving rows: "segments", "simplicial" or "lp"."""
         return self._path.name
 
     def tied(self, X: np.ndarray) -> np.ndarray | None:
@@ -341,11 +346,8 @@ class BatchSolver:
         if not np.all(inside):
             j, _ = self._exterior(X, inside)
             out = ~inside
-            nearest[out] = j
-            basis[out] = j[:, None]
-            weights[out] = 0.0
-            weights[out, 0] = 1.0
-            u1[out] = 0.0
+            nearest[out], basis[out], u1[out] = j, j[:, None], 0.0
+            weights[out] = np.eye(1, weights.shape[1])
         return BatchSolution(basis, weights, u1, nearest)
 
 

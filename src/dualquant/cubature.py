@@ -70,9 +70,8 @@ def _split_sums(grid: Grid, dist: DistributionSpec, spec: NormSpec, F_rows,
     cumulative-weight rule of ``splitting.split`` to each row's optimal
     simplex with uniforms from ``rng.substream(2k + 1)``; outside the
     hull the extended variant projects to the nearest grid point.  The
-    simplex is ``BatchSolver.solve``'s: on a cocircular planar grid that
-    is the canonical triangulation's triangle, which can differ from the
-    LP basis ``split`` draws from (see ``batch``).
+    simplex is ``BatchSolver.solve``'s, the LP basis ``split`` draws
+    from, also on a tie.
     """
     if dist.dim != grid.dim:
         raise ValueError("distribution dimension must match the grid")

@@ -84,9 +84,9 @@ def _costs(grid: Grid, xi: np.ndarray, spec: NormSpec) -> np.ndarray:
     return norm_value_batch(xi[None, :] - grid.points, spec)
 
 
-def _affinely_independent(cols: np.ndarray) -> bool:
+def _affinely_independent(cols: np.ndarray):  # one matrix or a stack
     sv = np.linalg.svd(cols, compute_uv=False)
-    return sv[-1] > 1e-10 * (1.0 + sv[0])
+    return sv[..., -1] > 1e-10 * (1.0 + sv[..., 0])
 
 
 def _canonical_basis(A, b, c, res, tol_s, tol_w):

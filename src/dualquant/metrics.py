@@ -3,8 +3,8 @@
 Monte Carlo estimators shard their samples into fixed-size chunks drawn
 from numbered substreams, so an estimate depends only on the seed and the
 chunk size, never on how the loop is scheduled.  Local values come from
-the batch layer (``batch.BatchSolver``), which picks the 1D, planar
-Delaunay, Qhull Delaunay (d >= 3) or per-sample LP path.
+the batch layer (``batch.BatchSolver``), which picks the 1D, Qhull
+Delaunay (d >= 2) or per-sample LP path.
 """
 
 from __future__ import annotations
@@ -52,10 +52,9 @@ def dq_values_batch(grid: Grid, X, spec: NormSpec,
                     extended: bool = False) -> np.ndarray:
     """Evaluate F^p (or its extended variant) at many query points.
 
-    Fast paths: ordered segments in 1D, the Delaunay power identity for
-    the planar Euclidean-quadratic case, the Qhull Delaunay simplex for
-    the Euclidean-quadratic case in d >= 3.  Other settings solve one LP
-    per row of ``X``.
+    Fast paths: ordered segments in 1D, and for the Euclidean norm with
+    p = 2 in d >= 2 the power identity on the Qhull Delaunay simplex
+    that holds the row.  Other settings solve one LP per row of ``X``.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:

@@ -8,7 +8,6 @@ from scipy.spatial import Delaunay
 
 from dualquant.batch import BatchSolver, shard_reduce
 from dualquant.cubature import second_order_report, weights
-from dualquant.delaunay import triangulate
 from dualquant.distributions import make_normal, make_uniform_box
 from dualquant.errors import InfeasibleError, SampleOutsideHullError
 from dualquant.geometry import EUCLIDEAN_QUADRATIC as S2
@@ -17,7 +16,7 @@ from dualquant.lp import enumerate_bases_oracle, local_dq_solve
 from dualquant.metrics import mc_dq_error
 from dualquant.optimnd import _PROBE_STREAM, _lp_probe_failures, mc_gradient
 from dualquant.rng import RngStream
-from dualquant.splitting import nn_project
+from dualquant.splitting import nn_project, pick
 
 U1 = make_uniform_box([0.0], [1.0])
 U2 = make_uniform_box([0.0, 0.0], [1.0, 1.0])
@@ -26,6 +25,13 @@ U3 = make_uniform_box([0.0] * 3, [1.0] * 3)
 
 def _random_grid(n, seed):
     return Grid(np.random.default_rng(seed).uniform(0.1, 0.9, size=(n, 2)))
+
+
+def _product_grid(d, m):
+    """The (m+1)^d product grid on the unit box: every cell is
+    cospherical, so every interior row is tied."""
+    axis = np.linspace(0.0, 1.0, m + 1)
+    return Grid(np.array(list(itertools.product(axis, repeat=d))))
 
 
 def _box_grid(d, extra, seed):
@@ -139,15 +145,16 @@ def test_mc_gradient_fast_paths_match_lp(grid, dist):
                                atol=1e-14)
 
 
-def test_planar_weights_equal_lp_picks():
-    grid = _random_grid(8, 11)
+@pytest.mark.parametrize("grid", [_random_grid(8, 11), _product_grid(2, 4)],
+                         ids=["random8", "product5x5"])
+def test_cubature_weights_equal_split_picks(grid):
+    # split's rule on the LP's sorted basis; on the product grid every
+    # row is tied, so this pins the tie rule too
     n = 4000
     rng = RngStream(23)
     table = weights(grid, U2, S2, n, rng, extended=True)
     X = np.asarray(U2.sampler(rng.substream(0), n), dtype=float)
     u = rng.substream(1).uniform(n)
-    # the fast path lists a triangle's vertices in its mesh order
-    mesh = {frozenset(t): t for t in triangulate(grid).triangles}
     counts = np.zeros(grid.n, dtype=int)
     for x, ui in zip(X, u):
         try:
@@ -155,16 +162,13 @@ def test_planar_weights_equal_lp_picks():
         except InfeasibleError:
             counts[nn_project(grid, x, S2)] += 1
             continue
-        verts = mesh[frozenset(sol.basis)]
-        lam = dict(zip(sol.basis, sol.weights))
-        cum = np.cumsum([max(lam[v], 0.0) for v in verts])
-        counts[verts[min(int((cum <= ui).sum()), 2)]] += 1
+        counts[sol.basis[int(pick(sol.weights, ui))]] += 1
     assert np.array_equal(np.round(table.weights * n).astype(int), counts)
 
 
 @pytest.mark.parametrize("grid,spec,path", [
     (Grid([0.2, 0.5, 0.9]), S2, "segments"),
-    (_random_grid(7, 4), S2, "planar"),
+    (_random_grid(7, 4), S2, "simplicial"),
     (_box_grid(3, 6, 1), S2, "simplicial"),
     (_box_grid(4, 4, 1), S2, "simplicial"),
     (_box_grid(3, 6, 1), NormSpec("l1", 2), "lp"),
@@ -174,7 +178,7 @@ def test_planar_weights_equal_lp_picks():
                            np.zeros(10)])), S2, "lp"),
     (Grid(np.vstack([_box_grid(3, 0, 0).points, [[1e-15, 0.0, 0.0]]])),
      S2, "lp"),
-    # the planar mesh falls back by the same rule
+    # a 2D grid falls back by the same rule
     (Grid(np.column_stack([np.random.default_rng(0).random(10),
                            np.zeros(10)])), S2, "lp"),
     (Grid(np.vstack([_box_grid(2, 0, 0).points, [[1e-15, 0.0]]])), S2, "lp"),
@@ -199,9 +203,15 @@ def _hard_rows(grid, rng):
                       face, past])
 
 
-@pytest.mark.parametrize("d,extra", [(3, 22), (4, 6)])
-def test_simplicial_path_matches_lp(d, extra):
-    grid = _box_grid(d, extra, 8)
+@pytest.mark.parametrize("grid", [
+    pytest.param(_box_grid(3, 22, 8), id="3-22"),
+    pytest.param(_box_grid(4, 6, 8), id="4-6"),
+    pytest.param(_product_grid(2, 4), id="product2d"),
+    pytest.param(_product_grid(3, 2), id="product3d"),
+    pytest.param(_product_grid(4, 2), id="product4d"),
+])
+def test_simplicial_path_matches_lp(grid):
+    d = grid.dim
     X = _hard_rows(grid, np.random.default_rng(d))
     solver = BatchSolver(grid, S2, extended=True)
     assert solver.path == "simplicial"
@@ -299,6 +309,37 @@ def test_simplicial_values_scale_with_the_grid(seed, s, c):
     assert base.path == moved.path == "simplicial"
     np.testing.assert_allclose(moved.values(Xm) / s ** 2,
                                base.values((Xm - c) / s), rtol=1e-9)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3),
+       st.lists(st.floats(-577.0, 577.0), min_size=2, max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_planar_values_scale_with_the_grid(seed, s, c):
+    # the 2D case of the property above, moved points mapped back
+    rng = np.random.default_rng(seed)
+    P = rng.random((12, 2))
+    X = _random_rows(rng, P, 30)
+    c = np.asarray(c)
+    Pm, Xm = s * P + c, s * X + c
+    base = BatchSolver(Grid((Pm - c) / s), S2, extended=True)
+    moved = BatchSolver(Grid(Pm), S2, extended=True)
+    assert base.path == moved.path == "simplicial"
+    np.testing.assert_allclose(moved.values(Xm) / s ** 2,
+                               base.values((Xm - c) / s), rtol=1e-9)
+
+
+@pytest.mark.parametrize("c", [1e3, 1e6])
+def test_planar_values_far_from_the_origin_equal_oracle(c):
+    # values of about 0.02 on a grid shifted by c keep 1e-9 absolute
+    grid = _random_grid(12, 4)
+    Pm = grid.points + c
+    X = _random_rows(np.random.default_rng(2), grid.points, 20)[:20]
+    Xm = X + c
+    solver = BatchSolver(Grid(Pm), S2)
+    assert solver.path == "simplicial"
+    vals = solver.values(Xm)
+    ref = [enumerate_bases_oracle(Grid(Pm - c), x, S2) for x in Xm - c]
+    np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-9)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(5, 10))
