@@ -144,17 +144,14 @@ def weights_exact_1d(grid: Grid, dist: DistributionSpec,
         if lo < xs[0] - 1e-12 * span or hi > xs[-1] + 1e-12 * span:
             raise SampleOutsideHullError(
                 "support exceeds the grid hull; use the extended weights")
-    pm0 = lambda a, b: ana.partial_moment(0, a, b)
-    pm1 = lambda a, b: ana.partial_moment(1, a, b)
+    a, b = xs[:-1], xs[1:]
+    m0, m1 = ana.partial_moment(0, a, b), ana.partial_moment(1, a, b)
     w = np.zeros(len(xs))
-    for i in range(len(xs) - 1):
-        a, b = xs[i], xs[i + 1]
-        m0, m1 = pm0(a, b), pm1(a, b)
-        w[i] += (b * m0 - m1) / (b - a)
-        w[i + 1] += (m1 - a * m0) / (b - a)
+    w[:-1] += (b * m0 - m1) / (b - a)
+    w[1:] += (m1 - a * m0) / (b - a)
     if extended:
-        w[0] += pm0(-np.inf, xs[0])
-        w[-1] += pm0(xs[-1], np.inf)
+        w[0] += ana.partial_moment(0, -np.inf, xs[0])
+        w[-1] += ana.partial_moment(0, xs[-1], np.inf)
     out = np.zeros(grid.n)
     out[order] = np.maximum(w, 0.0)
     return WeightTable(grid, out, 0, None)

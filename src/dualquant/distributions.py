@@ -5,7 +5,11 @@ bounded) and, in one dimension, closed-form cdf / pdf / partial moments
 / quantiles so that training and error evaluation can run without Monte
 Carlo.  Partial moments are ordinary truncated power moments:
 
-    partial_moment(k, a, b) = E[X^k ; a <= X <= b],  k in {0, 1, 2}.
+    partial_moment(k, a, b) = E[X^k ; a <= X <= b],  k in {0, 1, 2},
+
+which is 0 when b <= a.  ``cdf``, ``pdf`` and ``partial_moment`` take
+scalars or arrays: ``a`` and ``b`` broadcast against each other, bounds
+may be +-inf, and scalar arguments give a Python float back.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.special import ndtr, ndtri
 
 from .rng import RngStream
@@ -24,9 +29,17 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class Analytics1D:
-    cdf: Callable[[float], float]
-    pdf: Callable[[float], float]
-    partial_moment: Callable[[int, float, float], float]
+    """Closed forms of a 1D law.
+
+    ``cdf(x)``, ``pdf(x)`` and ``partial_moment(k, a, b)`` work
+    elementwise on arrays (``a`` and ``b`` broadcast) and return a float
+    for scalar arguments; infinite bounds are exact limits and raise no
+    floating-point warning.  ``quantile(q)`` takes a scalar.
+    """
+
+    cdf: Callable[[ArrayLike], float | np.ndarray]
+    pdf: Callable[[ArrayLike], float | np.ndarray]
+    partial_moment: Callable[[int, ArrayLike, ArrayLike], float | np.ndarray]
     quantile: Callable[[float], float]
 
 
@@ -48,25 +61,13 @@ class DistributionSpec:
     strongly_continuous: bool = True
 
 
-def _phi(x: float) -> float:
-    if math.isinf(x):
-        return 0.0
-    return math.exp(-0.5 * x * x) / _SQRT2PI
+def _out(value) -> float | np.ndarray:
+    # scalar arguments broadcast to 0-d; hand those back as floats
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def _Phi(x: float) -> float:
-    if x == -math.inf:
-        return 0.0
-    if x == math.inf:
-        return 1.0
-    return float(ndtr(x))
-
-
-def _xphi(x: float) -> float:
-    # x * phi(x) with the correct limit 0 at +-inf
-    if math.isinf(x):
-        return 0.0
-    return x * _phi(x)
+def _phi(x: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * x * x) / _SQRT2PI
 
 
 def make_uniform_box(lo, hi, name: str | None = None) -> DistributionSpec:
@@ -85,18 +86,18 @@ def make_uniform_box(lo, hi, name: str | None = None) -> DistributionSpec:
         a0, b0 = float(lo[0]), float(hi[0])
         h = b0 - a0
 
-        def cdf(x: float) -> float:
-            return min(1.0, max(0.0, (x - a0) / h))
+        def cdf(x):
+            return _out(np.clip(np.subtract(x, a0) / h, 0.0, 1.0))
 
-        def pdf(x: float) -> float:
-            return 1.0 / h if a0 <= x <= b0 else 0.0
+        def pdf(x):
+            x = np.asarray(x, dtype=float)
+            return _out(np.where((a0 <= x) & (x <= b0), 1.0 / h, 0.0))
 
-        def partial_moment(k: int, a: float, b: float) -> float:
-            aa = min(max(a, a0), b0)
-            bb = min(max(b, a0), b0)
-            if bb <= aa:
-                return 0.0
-            return (bb ** (k + 1) - aa ** (k + 1)) / ((k + 1) * h)
+        def partial_moment(k: int, a, b):
+            aa = np.clip(np.asarray(a, dtype=float), a0, b0)
+            bb = np.clip(np.asarray(b, dtype=float), a0, b0)
+            return _out(np.where(bb > aa, (bb ** (k + 1) - aa ** (k + 1))
+                                 / ((k + 1) * h), 0.0))
 
         def quantile(q: float) -> float:
             return a0 + q * h
@@ -125,23 +126,28 @@ def make_normal(mu: float = 0.0, sigma: float = 1.0, dim: int = 1,
     analytics = None
     if dim == 1:
 
-        def cdf(x: float) -> float:
-            return _Phi((x - mu) / sigma)
+        def z(x):
+            # Beyond |z| = 40, phi and z * phi underflow to 0 and ndtr is
+            # 0 or 1, so the clip changes no result; it keeps +-inf and
+            # overflow out of the formulas.
+            return np.clip(np.subtract(x, mu) / sigma, -40.0, 40.0)
 
-        def pdf(x: float) -> float:
-            return _phi((x - mu) / sigma) / sigma
+        def cdf(x):
+            return _out(ndtr(z(x)))
 
-        def partial_moment(k: int, a: float, b: float) -> float:
-            al = (a - mu) / sigma if not math.isinf(a) else a
-            be = (b - mu) / sigma if not math.isinf(b) else b
-            m0 = _Phi(be) - _Phi(al)
-            if k == 0:
-                return m0
-            m1 = _phi(al) - _phi(be)
+        def pdf(x):
+            return _out(_phi(z(x)) / sigma)
+
+        def partial_moment(k: int, a, b):
+            al, be = z(a), z(b)
+            pa, pb = _phi(al), _phi(be)
+            m = ndtr(be) - ndtr(al)
             if k == 1:
-                return mu * m0 + sigma * m1
-            m2 = m0 + _xphi(al) - _xphi(be)
-            return mu * mu * m0 + 2.0 * mu * sigma * m1 + sigma * sigma * m2
+                m = mu * m + sigma * (pa - pb)
+            elif k == 2:
+                m = (mu * mu * m + 2.0 * mu * sigma * (pa - pb)
+                     + sigma * sigma * (m + al * pa - be * pb))
+            return _out(np.where(be > al, m, 0.0))
 
         def quantile(q: float) -> float:
             return mu + sigma * float(ndtri(q))
@@ -162,28 +168,27 @@ def make_exponential(lam: float, name: str | None = None) -> DistributionSpec:
     def sampler(rng: RngStream, n: int) -> np.ndarray:
         return rng.generator.exponential(scale=1.0 / lam, size=(n, 1))
 
-    def cdf(x: float) -> float:
-        return 1.0 - math.exp(-lam * x) if x > 0 else 0.0
+    def cdf(x):
+        return _out(1.0 - _g(0, x))
 
-    def pdf(x: float) -> float:
-        return lam * math.exp(-lam * x) if x >= 0 else 0.0
+    def pdf(x):
+        return _out(lam * _g(0, x) * np.greater_equal(x, 0.0))
 
-    def _g(k: int, x: float) -> float:
-        # antiderivative tail: integral_x^inf t^k lam e^(-lam t) dt
-        if x == math.inf:
-            return 0.0
-        x = max(x, 0.0)  # no mass below the origin
-        e = math.exp(-lam * x)
+    def _g(k: int, x: np.ndarray) -> np.ndarray:
+        # antiderivative tail: integral_x^inf t^k lam e^(-lam t) dt.  No
+        # mass lies below the origin, and e underflows to 0 before
+        # lam * x = 800, so the clip changes no result; it keeps +-inf
+        # and overflow out of the polynomial.
+        x = np.clip(x, 0.0, 800.0 / lam)
+        e = np.exp(-lam * x)
         if k == 0:
             return e
         if k == 1:
             return (x + 1.0 / lam) * e
         return (x * x + 2.0 * x / lam + 2.0 / (lam * lam)) * e
 
-    def partial_moment(k: int, a: float, b: float) -> float:
-        if b <= a:
-            return 0.0
-        return _g(k, a) - _g(k, b)
+    def partial_moment(k: int, a, b):
+        return _out(np.where(np.greater(b, a), _g(k, a) - _g(k, b), 0.0))
 
     def quantile(q: float) -> float:
         return -math.log1p(-q) / lam

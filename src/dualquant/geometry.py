@@ -66,7 +66,8 @@ class Grid:
             raise ValueError("points must be a non-empty (n, d) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("grid coordinates must be finite")
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        rows = pts[np.lexsort(pts.T)]  # equal rows end up adjacent
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise DegenerateGeometryError("grid points must be pairwise distinct")
         pts.setflags(write=False)
         self.points = pts

@@ -147,20 +147,20 @@ def exact_1d_dq_error(grid: Grid, dist: DistributionSpec, p: float = 2,
         if lo < xs[0] - 1e-12 or hi > xs[-1] + 1e-12:
             raise ValueError("support exceeds the grid hull; "
                              "use the extended error instead")
-    total = 0.0
-    for a, b in zip(xs[:-1], xs[1:]):
-        pm0 = ana.partial_moment(0, a, b)
-        pm1 = ana.partial_moment(1, a, b)
-        pm2 = ana.partial_moment(2, a, b)
-        total += (a + b) * pm1 - pm2 - a * b * pm0
+    pm = ana.partial_moment
+    a, b = xs[:-1], xs[1:]
+    total = float(np.sum((a + b) * pm(1, a, b) - pm(2, a, b)
+                         - a * b * pm(0, a, b)))
     if extended:
-        total += (xs[0] ** 2 * ana.partial_moment(0, -math.inf, xs[0])
-                  - 2.0 * xs[0] * ana.partial_moment(1, -math.inf, xs[0])
-                  + ana.partial_moment(2, -math.inf, xs[0]))
-        total += (xs[-1] ** 2 * ana.partial_moment(0, xs[-1], math.inf)
-                  - 2.0 * xs[-1] * ana.partial_moment(1, xs[-1], math.inf)
-                  + ana.partial_moment(2, xs[-1], math.inf))
+        total += float(np.sum(_spread(ana, xs[[0, -1]], [-math.inf, xs[-1]],
+                                      [xs[0], math.inf])))
     return total
+
+
+def _spread(ana, x, a, b):
+    """E[(X - x)^2 ; a <= X <= b], elementwise."""
+    pm = ana.partial_moment
+    return pm(2, a, b) - 2.0 * x * pm(1, a, b) + x * x * pm(0, a, b)
 
 
 def exact_1d_voronoi_error(grid: Grid, dist: DistributionSpec,
@@ -169,15 +169,10 @@ def exact_1d_voronoi_error(grid: Grid, dist: DistributionSpec,
     if p != 2:
         raise ValueError("only p=2 has a partial-moment reduction")
     xs = _require_ordered(grid)
-    ana = _analytics(dist)
     borders = np.concatenate(([-math.inf], (xs[:-1] + xs[1:]) / 2.0,
                               [math.inf]))
-    total = 0.0
-    for x, a, b in zip(xs, borders[:-1], borders[1:]):
-        total += (ana.partial_moment(2, a, b)
-                  - 2.0 * x * ana.partial_moment(1, a, b)
-                  + x * x * ana.partial_moment(0, a, b))
-    return total
+    return float(np.sum(_spread(_analytics(dist), xs, borders[:-1],
+                                borders[1:])))
 
 
 def theoretical_1d_uniform(n: int, p: float = 2) -> tuple[Grid, float]:

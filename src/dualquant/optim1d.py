@@ -33,24 +33,30 @@ class NewtonReport:
     converged: bool
 
 
-def _checked(grid: Grid, dist: DistributionSpec, mode: str) -> np.ndarray:
+def _check_dist(dist: DistributionSpec,
+                mode: str) -> tuple[float, float] | None:
+    """Validate the law and mode; compact mode returns the support ends."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if dist.dim != 1 or dist.analytics is None:
+        raise ValueError("need a 1D distribution with partial moments")
+    if mode == "extended":
+        return None
+    if dist.support is None or not np.all(np.isfinite(dist.support)):
+        raise ValueError("compact mode needs a bounded support")
+    return float(dist.support[0][0]), float(dist.support[1][0])
+
+
+def _checked(grid: Grid, dist: DistributionSpec, mode: str) -> np.ndarray:
+    ends = _check_dist(dist, mode)
     if grid.dim != 1 or grid.n < 2:
         raise ValueError("need an ordered 1D grid with at least two points")
     xs = grid.points[:, 0]
     if not np.all(np.diff(xs) > 0.0):
         raise ValueError("grid points must be strictly increasing")
-    if dist.dim != 1 or dist.analytics is None:
-        raise ValueError("gradient formulas need 1D partial moments")
-    if mode == "compact":
-        if dist.support is None:
-            raise ValueError("compact mode needs a bounded support")
-        lo, hi = float(dist.support[0][0]), float(dist.support[1][0])
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("compact mode needs a bounded support")
-        if lo < xs[0] - 1e-12 or hi > xs[-1] + 1e-12:
-            raise ValueError("support exceeds the grid hull")
+    if ends is not None and (ends[0] < xs[0] - 1e-12
+                             or ends[1] > xs[-1] + 1e-12):
+        raise ValueError("support exceeds the grid hull")
     return xs
 
 
@@ -63,31 +69,31 @@ def gradient_1d(grid: Grid, dist: DistributionSpec,
     endpoints; extended mode adds the derivative of the squared distance
     to the nearest endpoint over each tail.
     """
-    xs = _checked(grid, dist, mode)
+    return _gradient(_checked(grid, dist, mode), dist, mode)
+
+
+def _gradient(xs: np.ndarray, dist: DistributionSpec,
+              mode: str) -> np.ndarray:
     pm = dist.analytics.partial_moment
-    n = len(xs)
-    g = np.zeros(n)
-    for i in range(1, n - 1):
-        g[i] = (pm(1, xs[i - 1], xs[i + 1])
-                - xs[i - 1] * pm(0, xs[i - 1], xs[i])
-                - xs[i + 1] * pm(0, xs[i], xs[i + 1]))
+    mass = pm(0, xs[:-1], xs[1:])  # one entry per cell
+    g = np.zeros(len(xs))
+    g[1:-1] = (pm(1, xs[:-2], xs[2:]) - xs[:-2] * mass[:-1]
+               - xs[2:] * mass[1:])
     if mode == "extended":
         g[0] = (2.0 * (xs[0] * pm(0, -math.inf, xs[0])
                        - pm(1, -math.inf, xs[0]))
-                + pm(1, xs[0], xs[1]) - xs[1] * pm(0, xs[0], xs[1]))
+                + pm(1, xs[0], xs[1]) - xs[1] * mass[0])
         g[-1] = (2.0 * (xs[-1] * pm(0, xs[-1], math.inf)
                         - pm(1, xs[-1], math.inf))
-                 + pm(1, xs[-2], xs[-1]) - xs[-2] * pm(0, xs[-2], xs[-1]))
+                 + pm(1, xs[-2], xs[-1]) - xs[-2] * mass[-1])
     return g
 
 
 def _tridiagonal(xs: np.ndarray, dist: DistributionSpec,
                  mode: str) -> tuple[np.ndarray, np.ndarray]:
     pm = dist.analytics.partial_moment
-    pdf = dist.analytics.pdf
-    n = len(xs)
-    dens = np.array([pdf(float(x)) for x in xs])
-    diag = np.empty(n)
+    dens = dist.analytics.pdf(xs)
+    diag = np.empty(len(xs))
     diag[1:-1] = (xs[2:] - xs[:-2]) * dens[1:-1]
     # Boundary rows: phantom neighbour at the point itself, so only the
     # inner gap contributes; extended mode adds twice the tail mass.
@@ -96,8 +102,7 @@ def _tridiagonal(xs: np.ndarray, dist: DistributionSpec,
     if mode == "extended":
         diag[0] += 2.0 * pm(0, -math.inf, xs[0])
         diag[-1] += 2.0 * pm(0, xs[-1], math.inf)
-    off = np.array([-pm(0, a, b) for a, b in zip(xs[:-1], xs[1:])])
-    return diag, off
+    return diag, -pm(0, xs[:-1], xs[1:])
 
 
 def hessian_1d(grid: Grid, dist: DistributionSpec,
@@ -136,47 +141,41 @@ def newton_solve(dist: DistributionSpec, n: int, mode: str = "compact",
     Steps are halved until they preserve strict ordering.  Compact mode
     pins the outer points to the support endpoints and solves the
     interior block; extended mode moves every point and starts from an
-    equidistant grid across the central quantile range.
+    equidistant grid across the central quantile range.  The law, mode
+    and start are validated once; the iterations then work on the bare
+    coordinate array, whose ordering the step halving preserves, and a
+    ``Grid`` is built only for the report.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    ends = _check_dist(dist, mode)
     if n < 2:
         raise ValueError("need at least two points")
-    if dist.dim != 1 or dist.analytics is None:
-        raise ValueError("the Newton solver needs 1D partial moments")
-
-    if mode == "compact":
-        if dist.support is None or not np.all(np.isfinite(dist.support[0])) \
-                or not np.all(np.isfinite(dist.support[1])):
-            raise ValueError("compact mode needs a bounded support")
-        lo, hi = float(dist.support[0][0]), float(dist.support[1][0])
-    else:
-        q = dist.analytics.quantile
-        lo, hi = q(0.1), q(0.9)
+    q = dist.analytics.quantile
+    lo, hi = ends if ends is not None else (q(0.1), q(0.9))
     if init is None:
         xs = np.linspace(lo, hi, n)
     else:
         xs = np.asarray(init, dtype=float).reshape(-1).copy()
-        if len(xs) != n or not np.all(np.diff(xs) > 0.0):
-            raise ValueError("init must be a strictly increasing n-vector")
+        if len(xs) != n or not (np.all(np.isfinite(xs))
+                                and np.all(np.diff(xs) > 0.0)):
+            raise ValueError("init must be a finite, strictly increasing "
+                             "n-vector")
     if mode == "compact":
         xs[0], xs[-1] = lo, hi
     active = slice(1, n - 1) if mode == "compact" else slice(0, n)
 
     grad_norm = math.inf
     for it in range(max_iter):
-        g = gradient_1d(Grid(xs), dist, mode)
+        g = _gradient(xs, dist, mode)
         grad_norm = float(np.max(np.abs(g)))
         if grad_norm <= tol:
             return NewtonReport(Grid(xs), it, grad_norm, True)
-        ga = g[active]
         diag, off = _tridiagonal(xs, dist, mode)
         if mode == "compact":
             diag, off = diag[1:-1], off[1:-1]
         if np.any(diag <= 0.0):
             raise ValueError("density vanishes at a grid point; "
                              "the Newton step is not defined")
-        step = _solve_tridiagonal(diag, off, ga)
+        step = _solve_tridiagonal(diag, off, g[active])
         scale = 1.0
         for _ in range(80):
             trial = xs.copy()

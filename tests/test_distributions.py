@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,3 +137,45 @@ def test_parse_distribution():
 def test_strong_continuity_flag():
     assert make_uniform_box(0.0, 1.0).strongly_continuous
     assert make_bm_sup().strongly_continuous
+
+
+# The array contract: elementwise equal to scalar calls, with infinite,
+# reversed and out-of-support bounds, and no floating-point warning.
+ARRAY_LAWS = [make_uniform_box(-2.0, 3.0), make_normal(1.5, 0.5),
+              make_exponential(2.0)]
+BOUNDS = np.array([-math.inf, -1e200, -7.0, -2.0, -0.5, 0.0, 0.7, 1.5, 2.2,
+                   3.0, 9.0, 1e200, math.inf])
+TIGHT = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("dist", ARRAY_LAWS, ids=lambda d: d.name)
+def test_array_partial_moments_equal_scalar_calls(dist, k):
+    pm = dist.analytics.partial_moment
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pm(k, BOUNDS[:, None], BOUNDS[None, :])
+        want = [[pm(k, float(a), float(b)) for b in BOUNDS] for a in BOUNDS]
+        single = pm(k, 0.0, 1.0)
+    assert got.shape == (len(BOUNDS), len(BOUNDS))
+    np.testing.assert_allclose(got, want, rtol=TIGHT, atol=TIGHT)
+    # b <= a holds no mass
+    assert np.all(got[np.tril_indices(len(BOUNDS))] == 0.0)
+    assert type(single) is float
+    json.dumps(single)
+
+
+@pytest.mark.parametrize("dist", ARRAY_LAWS, ids=lambda d: d.name)
+def test_array_cdf_and_pdf_equal_scalar_calls(dist):
+    an = dist.analytics
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (an.cdf, an.pdf):
+            got = f(BOUNDS)
+            np.testing.assert_allclose(got, [f(float(x)) for x in BOUNDS],
+                                       rtol=TIGHT, atol=TIGHT)
+            assert got.shape == BOUNDS.shape
+            assert type(f(0.7)) is float
+            json.dumps(f(0.7))
+    assert an.cdf(-math.inf) == 0.0 and an.cdf(math.inf) == 1.0
+    assert an.pdf(-math.inf) == 0.0 and an.pdf(math.inf) == 0.0

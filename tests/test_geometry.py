@@ -147,3 +147,26 @@ def test_grid_file_errors(tmp_path):
         load_grid(bad)
     with pytest.raises(GridFormatError):
         save_grid(Grid([[0.0]]), tmp_path / "grid.xyz")
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_duplicate_rows_raise_in_any_order(seed, d):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(25, d))
+    if d > 1:
+        pts[:, 0] = np.round(pts[:, 0])  # shared first coordinates
+    Grid(pts)
+    pts = np.vstack([pts, pts[rng.integers(25)]])
+    with pytest.raises(DegenerateGeometryError):
+        Grid(pts[rng.permutation(len(pts))])
+
+
+def test_grid_signed_zero_is_a_duplicate_and_one_ulp_is_not():
+    with pytest.raises(DegenerateGeometryError):
+        Grid([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]])
+    with pytest.raises(DegenerateGeometryError):
+        Grid([0.0, 0.5, -0.0])
+    up = np.nextafter(0.7, 1.0)
+    assert Grid([[0.7, 1.0], [up, 1.0], [0.7, np.nextafter(1.0, 0.0)]]).n == 3
+    assert Grid([0.0, np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0)]).n == 3

@@ -44,6 +44,14 @@ def test_exact_dual_error_known_values():
     assert exact_1d_dq_error(g11, U01) == pytest.approx(1 / 600, rel=1e-12)
 
 
+def test_exact_dual_error_equidistant_ladder():
+    # The per-cell form cancels as n grows: ~1.3e-11 relative at n = 1024.
+    for n in range(2, 1025):
+        got = exact_1d_dq_error(Grid(np.linspace(0.0, 1.0, n)), U01)
+        assert type(got) is float
+        assert got == pytest.approx(1.0 / (6.0 * (n - 1) ** 2), rel=1e-10)
+
+
 def test_exact_dual_error_matches_quadrature():
     # Independent route: numerical integration of the segment product.
     rng = np.random.default_rng(3)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from dualquant import optim1d
 
 from dualquant.distributions import (
     make_exponential,
@@ -10,7 +14,10 @@ from dualquant.errors import MaxIterationsError
 from dualquant.geometry import Grid
 from dualquant.metrics import exact_1d_dq_error, theoretical_1d_uniform
 from dualquant.optim1d import (
+    MODES,
     NewtonReport,
+    _gradient,
+    _tridiagonal,
     gradient_1d,
     hessian_1d,
     newton_solve,
@@ -187,3 +194,77 @@ def test_newton_input_validation():
         newton_solve(make_normal(), 3, "compact")
     with pytest.raises(ValueError):
         newton_solve(U01, 3, init=[0.3, 0.2, 0.9])
+
+
+# Per-cell loops of the scalar implementation, kept as references for
+# the array expressions in ``optim1d._gradient`` and ``_tridiagonal``.
+def _loop_gradient(xs, dist, mode):
+    pm = dist.analytics.partial_moment
+    n = len(xs)
+    g = np.zeros(n)
+    for i in range(1, n - 1):
+        g[i] = (pm(1, xs[i - 1], xs[i + 1])
+                - xs[i - 1] * pm(0, xs[i - 1], xs[i])
+                - xs[i + 1] * pm(0, xs[i], xs[i + 1]))
+    if mode == "extended":
+        g[0] = (2.0 * (xs[0] * pm(0, -math.inf, xs[0])
+                       - pm(1, -math.inf, xs[0]))
+                + pm(1, xs[0], xs[1]) - xs[1] * pm(0, xs[0], xs[1]))
+        g[-1] = (2.0 * (xs[-1] * pm(0, xs[-1], math.inf)
+                        - pm(1, xs[-1], math.inf))
+                 + pm(1, xs[-2], xs[-1]) - xs[-2] * pm(0, xs[-2], xs[-1]))
+    return g
+
+
+def _loop_tridiagonal(xs, dist, mode):
+    pm = dist.analytics.partial_moment
+    pdf = dist.analytics.pdf
+    n = len(xs)
+    dens = np.array([pdf(float(x)) for x in xs])
+    diag = np.empty(n)
+    diag[1:-1] = (xs[2:] - xs[:-2]) * dens[1:-1]
+    diag[0] = (xs[1] - xs[0]) * dens[0]
+    diag[-1] = (xs[-1] - xs[-2]) * dens[-1]
+    if mode == "extended":
+        diag[0] += 2.0 * pm(0, -math.inf, xs[0])
+        diag[-1] += 2.0 * pm(0, xs[-1], math.inf)
+    off = np.array([-pm(0, a, b) for a, b in zip(xs[:-1], xs[1:])])
+    return diag, off
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dist,span", [
+    (make_uniform_box(-2.0, 3.0), (-2.0, 3.0)),
+    (make_normal(1.5, 0.5), (0.0, 3.0)),
+    (make_exponential(2.0), (0.01, 2.5)),
+], ids=["uniform", "normal", "exponential"])
+def test_array_forms_match_per_cell_loops(seed, mode, dist, span):
+    rng = np.random.default_rng(seed)
+    xs = np.unique(rng.uniform(span[0], span[1], size=40))
+    if mode == "compact" and dist.support is not None \
+            and np.all(np.isfinite(dist.support)):
+        xs[0], xs[-1] = span
+        np.testing.assert_allclose(gradient_1d(Grid(xs), dist, mode),
+                                   _loop_gradient(xs, dist, mode),
+                                   rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(_gradient(xs, dist, mode),
+                               _loop_gradient(xs, dist, mode),
+                               rtol=1e-14, atol=1e-14)
+    for got, want in zip(_tridiagonal(xs, dist, mode),
+                         _loop_tridiagonal(xs, dist, mode)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def test_newton_normal_1000_iteration_count(monkeypatch):
+    built = []
+    monkeypatch.setattr(optim1d, "Grid",
+                        lambda pts: built.append(1) or Grid(pts))
+    rep = newton_solve(make_normal(), 1000, "extended")
+    assert rep.converged and rep.iterations == 17
+    assert len(built) == 1  # the report's grid only
+
+
+def test_newton_rejects_non_finite_init():
+    with pytest.raises(ValueError, match="finite"):
+        newton_solve(make_normal(), 3, "extended", init=[0.0, 1.0, math.inf])
