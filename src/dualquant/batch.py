@@ -20,6 +20,15 @@ optimal at a row.  Every path answers with the LP's lexicographically
 smallest optimal basis, which ``simplicial`` finds in closed form, so
 ``cubature``, ``mc_gradient`` and ``train`` pick from the basis that
 ``splitting.split`` and ``cvlq_step`` draw from.
+
+Reuse: a solver for the same ``Grid`` object and ``(spec, extended)`` as
+the last one takes over its path, so estimators called back to back on
+one grid share its mesh and lazy tables.  The key is identity: grids
+loaded separately do not share.  The one slot holds its grid, so a
+recycled ``id()`` never matches, and keeps at most one mesh alive past
+its call, tie tables (``_cells``: tens of MB on 4D product grids)
+included; a memo on each ``Grid`` would keep one per grid a caller
+holds.  No lock: paths never change results; a stale read costs a rebuild.
 """
 
 from __future__ import annotations
@@ -177,7 +186,6 @@ class _Simplicial(_PerRowLP):
         self.qhull = Delaunay(Pc, qhull_options=QHULL_OPTIONS)
         if len(self.qhull.coplanar):
             raise FlatGridError("Qhull left a grid point out of the mesh")
-        self.hull = ConvexHull(Pc).equations
         self.tree = cKDTree(Pc)
         # circumcentre z = r + y, r the last vertex: 2 (x_j - r).y = |x_j - r|^2
         T, S = self.qhull.transform, self.qhull.simplices
@@ -190,6 +198,11 @@ class _Simplicial(_PerRowLP):
         slack = SPHERE_TOL * np.maximum(self.r2, self.span ** 2)
         self.ball = np.sqrt(self.r2 + slack)  # holds the points on the sphere
 
+    @cached_property
+    def hull(self):
+        """Facet planes of the convex hull, for rows outside the mesh."""
+        return ConvexHull(self.Pc).equations
+
     def _locate(self, X):
         """Located simplex (0 outside), centred rows, and row masks:
         ``doubt``, where only the LP can tell inside from outside (near
@@ -198,8 +211,9 @@ class _Simplicial(_PerRowLP):
         s = self.qhull.find_simplex(Xc)
         out = s < 0
         near = out.copy()
-        near[out] = np.max(Xc[out] @ self.hull[:, :d].T + self.hull[:, d],
-                           axis=1) <= FACET_TOL * self.span
+        if out.any():
+            near[out] = np.max(Xc[out] @ self.hull[:, :d].T + self.hull[:, d],
+                               axis=1) <= FACET_TOL * self.span
         t = np.maximum(s, 0)
         return t, Xc, near | (~out & self.flat[t]), out & ~near
 
@@ -291,6 +305,21 @@ class _Simplicial(_PerRowLP):
         return (s >= 0) & self.tied_simplex[s]
 
 
+def _pick(grid: Grid, spec: NormSpec, extended: bool):
+    if grid.dim == 1 and grid.n >= 2:
+        return _Segments(grid, spec)
+    if grid.dim >= 2 and grid.n > grid.dim and spec.is_euclidean_quadratic:
+        try:
+            return _Simplicial(grid, extended)
+        except (QhullError, FlatGridError):  # rejected or dropped points
+            pass
+    return _PerRowLP(grid, spec, extended)
+
+
+# (grid, (spec, extended), path) last built; see the module docstring.
+_last = (None, None, None)
+
+
 class BatchSolver:
     """Local solutions of the dual quantization LP for batches of rows.
 
@@ -302,17 +331,13 @@ class BatchSolver:
     """
 
     def __init__(self, grid: Grid, spec: NormSpec, extended: bool = False):
+        global _last
         self.extended = extended
-        if grid.dim == 1 and grid.n >= 2:
-            self._path = _Segments(grid, spec)
-        elif (grid.dim >= 2 and grid.n > grid.dim
-              and spec.is_euclidean_quadratic):
-            try:
-                self._path = _Simplicial(grid, extended)
-            except (QhullError, FlatGridError):  # rejected or dropped points
-                self._path = _PerRowLP(grid, spec, extended)
-        else:
-            self._path = _PerRowLP(grid, spec, extended)
+        last_grid, last_key, path = _last
+        if last_grid is not grid or last_key != (spec, extended):
+            path = _pick(grid, spec, extended)
+            _last = (grid, (spec, extended), path)
+        self._path = path
 
     @property
     def path(self) -> str:

@@ -249,7 +249,7 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
     solver = BatchSolver(grid, spec, extended=True)
     _degeneracy_probe(grid, dist, spec, rng, solver)
 
-    def shard(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def shard(k: int, m: int) -> tuple:
         X = np.asarray(dist.sampler(rng.substream(k), m), float)
         # every basis entry in row order, one coordinate per row of vec:
         # a bincount per coordinate then adds in the order of a
@@ -260,18 +260,23 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
             Xb = X[s:s + _GRADIENT_ROWS]
             sol = solver.solve(Xb)
             diff = grid.points[sol.basis] - Xb[:, None, :]
-            r = np.sqrt(np.sum(diff * diff, axis=-1, keepdims=True))
-            block = sol.weights[..., None] * (p * r ** (p - 2.0) * diff
-                                              - sol.u1[:, None, :])
+            if p == 2:  # p r^0 diff, bit for bit
+                pull = 2.0 * diff
+            else:
+                r = np.sqrt(np.sum(diff * diff, axis=-1, keepdims=True))
+                pull = p * r ** (p - 2.0) * diff
+            block = sol.weights[..., None] * (pull - sol.u1[:, None, :])
             rows = slice(s * (d + 1), (s + len(Xb)) * (d + 1))
             idx[rows] = sol.basis.ravel()
             vec[:, rows] = block.reshape(-1, d).T
+        if not return_std:
+            return (_scatter_sum(idx, vec, n),)
         return _scatter_sum(idx, vec, n), _scatter_sum(idx, vec ** 2, n)
 
-    gsum, gsq = shard_reduce(n_samples, chunk, 1, shard)
+    gsum, *gsq = shard_reduce(n_samples, chunk, 1, shard)
     grad = gsum / n_samples
     if return_std:
-        var = np.maximum(gsq - n_samples * grad ** 2, 0.0) / (n_samples - 1)
+        var = np.maximum(gsq[0] - n_samples * grad ** 2, 0.0) / (n_samples - 1)
         return grad, np.sqrt(var / n_samples)
     return grad
 

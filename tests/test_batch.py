@@ -1,4 +1,8 @@
+import gc
 import itertools
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
+from dualquant import batch
 from dualquant.batch import BatchSolver, shard_reduce
 from dualquant.cubature import second_order_report, weights
 from dualquant.distributions import make_normal, make_uniform_box
@@ -352,3 +357,122 @@ def test_simplicial_values_equal_oracle(seed, n):
     for x, v in zip(X, vals):
         assert v == pytest.approx(enumerate_bases_oracle(grid, x, S2),
                                   rel=1e-9, abs=1e-15)
+
+
+def _cube_grid(seed):
+    """lp3d's grid: the unit cube's corners, pinned, and 22 random
+    points."""
+    return Grid(_box_grid(3, 22, seed).points, pinned=range(8))
+
+
+def _estimates(grid_for, dist, spec, n):
+    """mc_dq_error, weights and, under l2, second_order_report and
+    mc_gradient, each on the grid ``grid_for()`` gives."""
+    out = [
+        mc_dq_error(grid_for(), dist, spec, n, RngStream(3), extended=True),
+        weights(grid_for(), dist, spec, n, RngStream(4),
+                extended=True).weights,
+    ]
+    if spec.kind == "l2":
+        out.append(second_order_report(grid_for(), dist, spec,
+                                       lambda x: float(np.cos(x.sum())), 2.0,
+                                       n, RngStream(5), extended=True))
+        out.extend(mc_gradient(grid_for(), dist, spec, n, RngStream(6),
+                               return_std=True))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:.*probe samples hit degenerate")
+@pytest.mark.parametrize("grid,dist,spec,n", [
+    pytest.param(Grid([0.0, 0.2, 0.5, 0.9, 1.0]), U1, S2, 2000, id="1d"),
+    pytest.param(_random_grid(12, 3), U2, S2, 2000, id="random2d"),
+    pytest.param(_cube_grid(1), U3, S2, 2000, id="cube3d"),
+    pytest.param(_product_grid(2, 3), U2, S2, 2000, id="product2d"),
+    pytest.param(_random_grid(8, 2), U2, NormSpec("l1", 2), 64, id="l1"),
+])
+def test_estimators_on_one_grid_equal_fresh_grids(grid, dist, spec, n):
+    # back to back on one Grid the estimators share its mesh; each on a
+    # fresh Grid of the same points they build their own
+    shared = _estimates(lambda: grid, dist, spec, n)
+    fresh = _estimates(lambda: Grid(grid.points), dist, spec, n)
+    assert shared[0] == fresh[0]
+    assert all(np.array_equal(a, b) for a, b in zip(shared[1:], fresh[1:]))
+
+
+def test_reused_grid_keeps_each_solvers_own_setting():
+    grid = _random_grid(6, 1)
+    X = np.array([[0.5, 0.5], [2.0, 2.0]])
+    BatchSolver(grid, S2, extended=True).values(X)
+    with pytest.raises(SampleOutsideHullError):
+        BatchSolver(grid, S2).values(X)
+    assert BatchSolver(grid, S2).path == "simplicial"
+    assert BatchSolver(grid, NormSpec("l1", 2)).path == "lp"
+
+
+def test_one_mesh_per_grid_across_estimators(monkeypatch):
+    # lp3d's per-grid sequence; its samples all fall inside the cube, so
+    # the hull planes, needed only for rows outside the mesh, are never
+    # built
+    counts = {"Delaunay": 0, "ConvexHull": 0}
+
+    def counting(name):
+        build = getattr(batch, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(batch, name, counting(name))
+    grid = _cube_grid(2)
+    mc_dq_error(grid, U3, S2, 32, RngStream(1), extended=True)
+    weights(grid, U3, S2, 32, RngStream(2), extended=True)
+    second_order_report(grid, U3, S2, lambda x: float(np.cos(x.sum())), 3.0,
+                        32, RngStream(2), extended=True)
+    assert counts == {"Delaunay": 1, "ConvexHull": 0}
+
+
+def test_dropped_grid_is_freed():
+    grid = _random_grid(10, 5)
+    BatchSolver(grid, S2, extended=True)
+    dropped = weakref.ref(grid)
+    del grid
+    for seed in (6, 7):
+        BatchSolver(_random_grid(10, seed), S2, extended=True)
+    gc.collect()
+    assert dropped() is None
+
+
+def test_threads_sharing_the_slot_get_serial_results():
+    grids = [_random_grid(10, 20), _cube_grid(21), _product_grid(2, 2)]
+    dists = [U2, U3, U2]
+
+    def cycle():
+        return [mc_dq_error(g, dist, S2, 200, RngStream(k), extended=True)
+                for k, (g, dist) in enumerate(zip(grids, dists))]
+
+    serial = cycle()
+    results, errors = [], []
+
+    def work():
+        try:
+            for _ in range(6):
+                results.append(cycle())
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(results) == 8 * 6
+    assert all(r == serial for r in results)

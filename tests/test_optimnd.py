@@ -287,6 +287,21 @@ def test_mc_gradient_matches_the_scatter_loop(grid, dist, spec):
     assert np.array_equal(grad, ref_grad) and np.array_equal(std, ref_std)
 
 
+@pytest.mark.parametrize("grid, dist, spec", [
+    (Grid(np.random.default_rng(4).uniform(-1.5, 1.5, size=(12, 2))),
+     make_normal(dim=2), S2),
+    (Grid([0.1, 0.35, 0.4, 0.8]), make_uniform_box([0.0], [1.0]),
+     NormSpec("l2", 3.0)),
+])
+def test_mc_gradient_without_std_matches_the_scatter_loop(grid, dist, spec):
+    # p = 2 skips r^(p-2), and without return_std the squares are not
+    # summed: neither changes a bit of the gradient
+    n = 2 * _GRADIENT_ROWS + 500
+    grad = mc_gradient(grid, dist, spec, n, RngStream(31))
+    ref_grad, _, _ = _gradient_loop(grid, dist, spec, n, RngStream(31))
+    assert np.array_equal(grad, ref_grad)
+
+
 def test_mc_gradient_zero_at_1d_optimum():
     dist = make_uniform_box([0.0], [1.0])
     grad, std = mc_gradient(Grid([0.0, 0.5, 1.0]), dist, S2, 40_000,
