@@ -6,7 +6,8 @@
 * ``simplicial``: a grid in d >= 2 under the Euclidean norm with p = 2
   uses the Qhull Delaunay simplex that contains the query; only rows
   near the hull, and for ``solve`` rows on a facet or in a tied cell
-  past ``lp.TIE_BUDGET``, take the LP;
+  past ``lp.TIE_BUDGET`` or the table cap ``TIE_TABLE_BYTES``, take the
+  LP;
 * ``lp``: every other setting, and a grid Qhull rejects or thins (flat,
   or a point too close to another), solves one LP per row.
 
@@ -17,16 +18,17 @@ the one loop that splits Monte Carlo work into numbered shards.
 
 Ties: on a cospherical grid (any product grid) more than one simplex is
 optimal at a row.  Every path answers with the LP's lexicographically
-smallest optimal basis, which ``simplicial`` finds in closed form, so
-``cubature``, ``mc_gradient`` and ``train`` pick from the basis that
-``splitting.split`` and ``cvlq_step`` draw from.
+smallest optimal basis, which ``simplicial`` finds in closed form.
+``splitting`` solves its query points here too, so ``split`` and
+``cubature``, ``mc_gradient`` and ``train`` draw from one basis by
+construction; ``cvlq_step`` keeps the LP as the reference they match.
 
 Reuse: a solver for the same ``Grid`` object and ``(spec, extended)`` as
 the last one takes over its path, so estimators called back to back on
 one grid share its mesh and lazy tables.  The key is identity: grids
 loaded separately do not share.  The one slot holds its grid, so a
 recycled ``id()`` never matches, and keeps at most one mesh alive past
-its call, tie tables (``_cells``: tens of MB on 4D product grids)
+its call, tie table (``_cells``, at most ``TIE_TABLE_BYTES``)
 included; a memo on each ``Grid`` would keep one per grid a caller
 holds.  No lock: paths never change results; a stale read costs a rebuild.
 """
@@ -53,18 +55,22 @@ from .lp import TIE_BUDGET, TOL, _affinely_independent, local_dq_solve
 # (relative) of a simplex's circumsphere make up its cell.
 FACET_TOL = 1e-7
 SPHERE_TOL = 1e-8
+# Cap on one solver's tie table (subsets and inverses, padded); cells
+# past it take the LP, as cells with more than TIE_BUDGET subsets do.
+TIE_TABLE_BYTES = 16 * 2 ** 20
 
 
 @dataclass(frozen=True)
 class BatchSolution:
     """Local solutions of many query rows, one row per query.
 
-    ``basis`` (N, d+1) lists the optimal simplex in the path's own vertex
-    order and ``weights`` holds the barycentric weights aligned with it;
-    ``u1`` (N, d) is the spatial dual.  An exterior row is the one-point
-    simplex at its nearest grid point: basis repeats that index, weights
-    are (1, 0, ..., 0) and u1 is zero.  ``nearest`` holds that index for
-    exterior rows and -1 for interior ones.
+    ``basis`` (N, d+1) lists the optimal simplex in ascending grid index
+    on every path and ``weights`` holds the barycentric weights aligned
+    with it; ``u1`` (N, d) is the spatial dual.  An exterior row is the
+    one-point simplex at its nearest grid point: basis repeats that
+    index, weights are (1, 0, ..., 0) and u1 is zero.  ``nearest`` holds
+    that index for exterior rows and -1 for interior ones; exact distance
+    ties take the smallest index, as ``splitting.nn_project`` does.
     """
 
     basis: np.ndarray
@@ -89,7 +95,7 @@ def _segment_values(xs: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
 
 
 class _Segments:
-    """Ordered 1D grid: the bracketing pair, in increasing position."""
+    """1D grid, sorted once: the pair of neighbours bracketing the row."""
 
     name = "segments"
 
@@ -116,8 +122,11 @@ class _Segments:
         basis = np.zeros((len(X), 2), dtype=np.intp)
         weights = np.zeros((len(X), 2))
         u1 = np.zeros((len(X), 1))
-        basis[inside] = np.column_stack([self.order[j - 1], self.order[j]])
-        weights[inside] = np.column_stack([right / gap, left / gap])
+        pair = np.column_stack([self.order[j - 1], self.order[j]])
+        w = np.column_stack([right / gap, left / gap])
+        swap = pair[:, 0] > pair[:, 1]  # list the pair by grid index
+        pair[swap], w[swap] = pair[swap, ::-1], w[swap, ::-1]
+        basis[inside], weights[inside] = pair, w
         # the dual line through both costs: u1 = slope of |x_i - xi|^p
         u1[inside, 0] = (right ** self.p - left ** self.p) / gap
         return inside, basis, weights, u1
@@ -173,8 +182,9 @@ class _Simplicial(_PerRowLP):
     and F^2 = r^2 - |xi - z|^2 on its circumsphere (z, r).  A tied simplex
     answers by the LP's rule: the lexicographically first (d+1)-subset of
     its cell, the grid points on its sphere, that holds the row.  Rows
-    near the hull or on a facet, and cells past TIE_BUDGET, take the LP.
-    Geometry runs on centred points: an offset costs no precision."""
+    near the hull or on a facet, and cells past TIE_BUDGET or the
+    TIE_TABLE_BYTES cap, take the LP.  Geometry runs on centred points:
+    an offset costs no precision."""
 
     name = "simplicial"
 
@@ -242,15 +252,23 @@ class _Simplicial(_PerRowLP):
 
     @cached_property
     def _cells(self):
-        """Cell id per simplex (-1: untied or past TIE_BUDGET); per cell its
-        (d+1)-subsets, lexicographic, padded with point 0, and inverses."""
+        """Cell id per simplex (-1: untied, past TIE_BUDGET, or not admitted
+        to the table); per cell its (d+1)-subsets, lexicographic, padded
+        with point 0, and inverses.  Cells are admitted in simplex order
+        until the next one would take the padded table past
+        TIE_TABLE_BYTES; the rest go to the LP."""
         d, tied = self.grid.dim, np.flatnonzero(self.tied_simplex & ~self.flat)
-        ids, cell_of = {}, np.full(len(self.r2), -1)
+        row_bytes = 8 * (d + 1) * (d + 2)  # one padded subset and inverse
+        ids, K, full = {}, 0, False
+        cell_of = np.full(len(self.r2), -1)
         for t, cell in zip(tied, self.tree.query_ball_point(
                 self.z[tied], self.ball[tied], return_sorted=True)):
-            if comb(len(cell), d + 1) <= TIE_BUDGET:
-                cell_of[t] = ids.setdefault(tuple(cell), len(ids))
-        K = max((comb(len(cell), d + 1) for cell in ids), default=0)
+            key, k = tuple(cell), comb(len(cell), d + 1)
+            if key not in ids and k <= TIE_BUDGET and not full:
+                full = (len(ids) + 1) * max(K, k) * row_bytes > TIE_TABLE_BYTES
+                if not full:
+                    ids[key], K = len(ids), max(K, k)
+            cell_of[t] = ids.get(key, -1)
         bases = np.zeros((len(ids), K, d + 1), dtype=np.intp)
         for c, cell in enumerate(ids):
             bases[c, :comb(len(cell), d + 1)] = list(combinations(cell, d + 1))
@@ -296,8 +314,17 @@ class _Simplicial(_PerRowLP):
         return inside, basis, w, u1
 
     def nearest(self, X):
-        dist, j = self.tree.query(X - self.center)
-        return j, dist ** 2
+        Xc = X - self.center
+        dist, j = self.tree.query(Xc)
+        d2 = dist ** 2
+        # a row with another point within rounding of its nearest distance
+        # takes the smallest index by caller-coordinate distances
+        slack = 1e-9 * (dist + self.span)
+        tie = self.tree.query_ball_point(Xc, dist + slack,
+                                         return_length=True) > 1
+        if tie.any():
+            j[tie], d2[tie] = super().nearest(X[tie])
+        return j, d2
 
     def tied(self, X):
         """Rows located in a tied simplex."""

@@ -20,11 +20,11 @@ import numpy as np
 
 from .batch import BatchSolver, shard_reduce
 from .distributions import DistributionSpec
-from .errors import SampleOutsideHullError
+from .errors import InfeasibleError, SampleOutsideHullError
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec
 from .metrics import DEFAULT_CHUNK, mean_and_se
 from .rng import RngStream
-from .splitting import interpolate, pick
+from .splitting import pick
 
 __all__ = [
     "SecondOrderReport",
@@ -239,12 +239,19 @@ def convex_dominance_check(grid: Grid, F, test_points,
 
     For convex F the interpolant lies above F inside the hull (equality
     for affine F); a concave F flips the direction and fails the check.
-    Points outside the hull raise.
+    Points outside the hull raise.  One solve serves every test point,
+    and F is evaluated once on each grid point some basis uses.
     """
     pts = np.asarray(test_points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    for xi in pts:
-        if interpolate(grid, F, xi, spec) < float(F(xi)) - 1e-12:
-            return False
-    return True
+    if pts.ndim != 2 or pts.shape[1] != grid.dim:
+        raise ValueError(f"test points must have shape (n, {grid.dim})")
+    sol = BatchSolver(grid, spec, extended=True).solve(pts)
+    if np.any(sol.nearest >= 0):
+        raise InfeasibleError("query point lies outside the convex hull of the grid")
+    used = np.unique(sol.basis)
+    fgrid = np.zeros(grid.n)
+    fgrid[used] = [float(F(grid.points[i])) for i in used]
+    interp = np.sum(sol.weights * fgrid[sol.basis], axis=1)
+    return all(v >= float(F(xi)) - 1e-12 for v, xi in zip(interp, pts))

@@ -6,6 +6,12 @@ weights are barycentric, the operator is intrinsically stationary:
 E[J(xi)] = xi, and E ||xi - J(xi)||^p recovers the local error exactly.
 Outside the hull, the extended operator projects to the nearest grid
 point first.
+
+Each call solves its point as one row of ``BatchSolver(grid, spec,
+extended=True)``, as ``cubature`` does, so both draw from the LP's basis
+(on a tie its lexicographically smallest), in ascending grid index.  At
+a point of a 1D grid the bracketing pair may differ from the LP's basis;
+the draw, all of whose weight sits on that point, cannot.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batch import BatchSolver
 from .errors import InfeasibleError
 from .geometry import Grid, NormSpec, norm_value_batch
-from .lp import local_dq_solve
 from .rng import RngStream
 
 __all__ = [
@@ -53,41 +59,59 @@ def pick(weights, u) -> np.ndarray:
     when rounding leaves the total at or below u.
 
     ``weights`` (..., k) holds each basis's weights in ascending grid
-    index; ``u`` broadcasts against ``weights[..., 0]``.
+    index, as every ``BatchSolver`` path and the LP give them; ``u``
+    broadcasts against ``weights[..., 0]``.
     """
     cum = np.cumsum(np.maximum(weights, 0.0), axis=-1)
     pos = np.sum(cum <= np.expand_dims(u, -1), axis=-1)
     return np.minimum(pos, cum.shape[-1] - 1)
 
 
-def split(grid: Grid, xi, spec: NormSpec, rng: RngStream) -> SplitOutcome:
-    """Draw one splitting outcome; requires xi inside the hull.
+def _solve(grid: Grid, xi, spec: NormSpec, extended: bool = False):
+    """Basis, weights and nearest index (-1 inside the hull) at xi, one
+    row of the extended solver; unless ``extended``, a point outside the
+    hull raises InfeasibleError."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (grid.dim,):
+        raise ValueError(f"query point must have shape ({grid.dim},)")
+    sol = BatchSolver(grid, spec, extended=True).solve(xi[None, :])
+    if not extended and sol.nearest[0] >= 0:
+        raise InfeasibleError("query point lies outside the convex hull of the grid")
+    return sol.basis[0], sol.weights[0], int(sol.nearest[0])
 
-    The basis is the LP's; on a tie it is the lexicographically smallest
-    optimal one.
-    """
-    sol = local_dq_solve(grid, np.asarray(xi, dtype=float), spec)
-    idx = sol.basis[int(pick(sol.weights, rng.uniform()))]
-    return SplitOutcome(idx, grid.points[idx].copy(), "interior", sol.basis, sol.weights)
+
+def _draw(grid: Grid, basis, weights, rng: RngStream) -> SplitOutcome:
+    idx = int(basis[int(pick(weights, rng.uniform()))])
+    return SplitOutcome(idx, grid.points[idx].copy(), "interior",
+                        tuple(int(i) for i in basis), weights)
+
+
+def split(grid: Grid, xi, spec: NormSpec, rng: RngStream) -> SplitOutcome:
+    """Draw one splitting outcome; requires xi inside the hull."""
+    basis, weights, _ = _solve(grid, xi, spec)
+    return _draw(grid, basis, weights, rng)
 
 
 def split_extended(grid: Grid, xi, spec: NormSpec, rng: RngStream) -> SplitOutcome:
-    """Splitting extended to all of R^d by nearest-point projection."""
-    try:
-        return split(grid, xi, spec, rng)
-    except InfeasibleError:
-        idx = nn_project(grid, np.asarray(xi, dtype=float), spec)
-        return SplitOutcome(idx, grid.points[idx].copy(), "exterior", None, None)
+    """Splitting extended to all of R^d by nearest-point projection.
+
+    Outside the hull no uniform is drawn from ``rng``.
+    """
+    basis, weights, j = _solve(grid, xi, spec, extended=True)
+    if j >= 0:
+        return SplitOutcome(j, grid.points[j].copy(), "exterior", None, None)
+    return _draw(grid, basis, weights, rng)
 
 
 def split_many(grid: Grid, xi, spec: NormSpec, rng: RngStream, n: int) -> np.ndarray:
     """n independent splitting draws at a fixed query point.
 
     Solves once and applies the cumulative-weight rule to a vector of
-    uniforms; distributionally identical to n calls of ``split``.
+    uniforms; on the same stream it gives the indices of n calls of
+    ``split``.
     """
-    sol = local_dq_solve(grid, np.asarray(xi, dtype=float), spec)
-    return np.asarray(sol.basis, dtype=int)[pick(sol.weights, rng.uniform(n))]
+    basis, weights, _ = _solve(grid, xi, spec)
+    return basis[pick(weights, rng.uniform(n))]
 
 
 def interpolate(grid: Grid, F, xi, spec: NormSpec) -> float:
@@ -95,5 +119,5 @@ def interpolate(grid: Grid, F, xi, spec: NormSpec) -> float:
 
     Reproduces affine functions exactly and dominates convex ones.
     """
-    sol = local_dq_solve(grid, np.asarray(xi, dtype=float), spec)
-    return float(sum(w * F(grid.points[i]) for i, w in zip(sol.basis, sol.weights)))
+    basis, weights, _ = _solve(grid, xi, spec)
+    return float(sum(w * F(grid.points[i]) for i, w in zip(basis, weights)))

@@ -2,6 +2,7 @@ import gc
 import itertools
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -150,15 +151,19 @@ def test_mc_gradient_fast_paths_match_lp(grid, dist):
                                atol=1e-14)
 
 
-@pytest.mark.parametrize("grid", [_random_grid(8, 11), _product_grid(2, 4)],
-                         ids=["random8", "product5x5"])
-def test_cubature_weights_equal_split_picks(grid):
+@pytest.mark.parametrize("grid,dist", [
+    pytest.param(_random_grid(8, 11), U2, id="random8"),
+    pytest.param(_product_grid(2, 4), U2, id="product5x5"),
+    pytest.param(Grid([0.5, 0.0, 1.0, 0.2]), U1, id="unsorted1d"),
+])
+def test_cubature_weights_equal_split_picks(grid, dist):
     # split's rule on the LP's sorted basis; on the product grid every
-    # row is tied, so this pins the tie rule too
+    # row is tied, so this pins the tie rule too, and the 1D grid stored
+    # out of order pins the basis order of the segments path
     n = 4000
     rng = RngStream(23)
-    table = weights(grid, U2, S2, n, rng, extended=True)
-    X = np.asarray(U2.sampler(rng.substream(0), n), dtype=float)
+    table = weights(grid, dist, S2, n, rng, extended=True)
+    X = np.asarray(dist.sampler(rng.substream(0), n), dtype=float)
     u = rng.substream(1).uniform(n)
     counts = np.zeros(grid.n, dtype=int)
     for x, ui in zip(X, u):
@@ -169,6 +174,53 @@ def test_cubature_weights_equal_split_picks(grid):
             continue
         counts[sol.basis[int(pick(sol.weights, ui))]] += 1
     assert np.array_equal(np.round(table.weights * n).astype(int), counts)
+
+
+def test_exterior_ties_take_the_smallest_index():
+    # (-3, -3) is at squared distance 25 from points 1 and 6; integer
+    # grids and rows put many exterior rows on such exact ties
+    grids = [Grid([[1, 6], [1, 0], [2, 0], [1, 1], [3, 2], [2, 5], [0, 1],
+                   [3, 5], [3, 6]])]
+    rng = np.random.default_rng(12)
+    while len(grids) < 12:
+        P = np.unique(rng.integers(0, 7, size=(9, 2)), axis=0)
+        grids.append(Grid(rng.permutation(P)))
+    axis = np.arange(-4.0, 11.0)
+    X = np.array(list(itertools.product(axis, repeat=2)))
+    ties = 0
+    for grid in grids:
+        solver = BatchSolver(grid, S2, extended=True)
+        if solver.path != "simplicial":
+            continue
+        sol, vals = solver.solve(X), solver.values(X)
+        for i in np.flatnonzero(sol.nearest >= 0):
+            dists = np.sum((X[i] - grid.points) ** 2, axis=1)
+            ties += np.count_nonzero(dists == dists.min()) > 1
+            j = nn_project(grid, X[i], S2)
+            assert sol.nearest[i] == j
+            assert vals[i] == pytest.approx(dists[j], rel=1e-12)
+    assert ties > 0
+
+
+def test_tie_table_is_capped():
+    # the 4^4 product grid's full tie table is 81 cells of C(16, 5)
+    # subsets, 85 MB, and building it peaked near 240 MiB; past the cap
+    # its rows take the LP's answer
+    grid = _product_grid(4, 3)
+    X = np.random.default_rng(3).random((8, 4))
+    solver = BatchSolver(grid, S2)
+    assert solver.path == "simplicial"
+    tracemalloc.start()
+    try:
+        sol = solver.solve(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
+    for x, basis, w in zip(X, sol.basis, sol.weights):
+        ref = local_dq_solve(grid, x, S2)
+        assert tuple(basis) == ref.basis
+        np.testing.assert_allclose(w, ref.weights, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("grid,spec,path", [

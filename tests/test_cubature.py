@@ -319,6 +319,12 @@ def test_convex_dominance_1d():
     g = Grid([0.0, 0.3, 1.0])
     xs = np.linspace(0.01, 0.99, 25)
     assert convex_dominance_check(g, lambda x: float(x[0] ** 2), xs)
+    # one solve for every test point: F is called once on each test
+    # point and once on each grid point a basis uses, here not on 1.0
+    calls = []
+    F = lambda x: calls.append(float(x[0])) or float(x[0] ** 2)
+    assert convex_dominance_check(g, F, xs[:5])
+    assert sorted(calls) == sorted([0.0, 0.3] + list(xs[:5]))
 
 
 def test_convex_dominance_outside_hull_raises():

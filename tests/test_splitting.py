@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from dualquant.batch import BatchSolver
+from dualquant.cubature import convex_dominance_check
 from dualquant.errors import InfeasibleError
 from dualquant.geometry import Grid, NormSpec
 from dualquant.lp import local_dq_solve, local_dq_value
@@ -10,6 +14,46 @@ from dualquant.splitting import (interpolate, nn_project, pick, split, split_ext
 
 seed = 424242
 S2 = NormSpec("l2", 2)
+
+
+def _cube_grid():
+    """The unit cube's corners, pinned, and 22 random points."""
+    corners = list(itertools.product((0.0, 1.0), repeat=3))
+    extra = np.random.default_rng(1).random((22, 3))
+    return Grid(np.vstack([corners, extra]), pinned=range(8))
+
+
+def _product_grid():
+    axis = np.linspace(0.0, 1.0, 5)
+    return Grid(np.array(list(itertools.product(axis, repeat=2))))
+
+
+# One grid per BatchSolver path: (name, grid, spec, path)
+PATH_GRIDS = [
+    ("unsorted1d", Grid([0.5, 0.0, 1.0, 0.2]), S2, "segments"),
+    ("random2d", Grid(np.random.default_rng(9).uniform(size=(9, 2))), S2,
+     "simplicial"),
+    ("cube3d", _cube_grid(), S2, "simplicial"),
+    ("product2d", _product_grid(), S2, "simplicial"),  # every row tied
+    ("l1", Grid(np.random.default_rng(9).uniform(size=(9, 2))),
+     NormSpec("l1", 2), "lp"),
+]
+
+
+def _interior_rows(grid, m, rng_seed):
+    """m random convex combinations of the grid points."""
+    w = np.random.default_rng(rng_seed).exponential(size=(m, grid.n))
+    return (w / w.sum(axis=1, keepdims=True)) @ grid.points
+
+
+def _lp_draw(grid, xi, spec, rng):
+    """The reference rule: the LP's basis and ``pick`` inside the hull,
+    the nearest grid point (no uniform drawn) outside."""
+    try:
+        sol = local_dq_solve(grid, xi, spec)
+    except InfeasibleError:
+        return nn_project(grid, xi, spec), "exterior"
+    return sol.basis[int(pick(sol.weights, rng.uniform()))], "interior"
 
 
 def test_rng_stream_reproducible():
@@ -63,6 +107,24 @@ def test_split_requires_interior():
     g = Grid([[0, 0], [1, 0], [0, 1]])
     with pytest.raises(InfeasibleError):
         split(g, np.array([1.0, 1.0]), S2, RngStream(1))
+    with pytest.raises(InfeasibleError):
+        split_many(g, np.array([1.0, 1.0]), S2, RngStream(1), 5)
+    with pytest.raises(InfeasibleError):
+        interpolate(g, lambda x: 1.0, np.array([1.0, 1.0]), S2)
+
+
+def test_split_rejects_badly_shaped_points():
+    g = Grid([[0, 0], [1, 0], [0, 1]])
+    for xi in (np.array([0.2]), np.array([0.2, 0.2, 0.2]),
+               np.array([[0.2, 0.2]])):
+        for call in (lambda: split(g, xi, S2, RngStream(1)),
+                     lambda: split_extended(g, xi, S2, RngStream(1)),
+                     lambda: split_many(g, xi, S2, RngStream(1), 3),
+                     lambda: interpolate(g, lambda x: 1.0, xi, S2)):
+            with pytest.raises(ValueError):
+                call()
+    with pytest.raises(ValueError):
+        convex_dominance_check(g, lambda x: 1.0, [[0.2, 0.2, 0.2]])
 
 
 def test_split_extended_projects_outside():
@@ -71,6 +133,21 @@ def test_split_extended_projects_outside():
     assert out.mode == "exterior"
     assert out.index == 1  # tie between (1,0) and (0,1): smaller index
     assert out.basis is None
+    # on every path, a seeded sequence of interior and exterior points
+    # gives the LP rule's draws; outside, no uniform is drawn
+    for name, grid, spec, _ in PATH_GRIDS:
+        lo, hi = grid.points.min(axis=0), grid.points.max(axis=0)
+        X = np.random.default_rng(4).uniform(lo - 0.2 * (hi - lo),
+                                             hi + 0.2 * (hi - lo),
+                                             size=(60, grid.dim))
+        rng, ref_rng = RngStream(5), RngStream(5)
+        modes = set()
+        for x in X:
+            out = split_extended(grid, x, spec, rng)
+            want = _lp_draw(grid, x, spec, ref_rng)
+            assert (out.index, out.mode) == want, name
+            modes.add(out.mode)
+        assert modes == {"interior", "exterior"}, name
 
 
 def test_split_at_vertex_returns_it():
@@ -120,6 +197,16 @@ def test_split_many_matches_scalar_split():
     scalar = [split(g, xi, S2, rng).index for _ in range(500)]
     vector = split_many(g, xi, S2, RngStream(77), 500)
     assert scalar == list(vector)
+    # on every path both equal the LP's basis picked with the same uniforms
+    for name, grid, spec, path in PATH_GRIDS:
+        assert BatchSolver(grid, spec).path == path, name
+        xi = _interior_rows(grid, 1, 3)[0]
+        rng = RngStream(78)
+        scalar = [split(grid, xi, spec, rng).index for _ in range(200)]
+        vector = split_many(grid, xi, spec, RngStream(78), 200)
+        ref = local_dq_solve(grid, xi, spec)
+        lp = np.asarray(ref.basis)[pick(ref.weights, RngStream(78).uniform(200))]
+        assert scalar == list(vector) == list(lp), name
 
 
 def test_split_on_a_tie_draws_from_the_lp_basis():
@@ -133,6 +220,17 @@ def test_split_on_a_tie_draws_from_the_lp_basis():
     freq = np.bincount(draws, minlength=4) / len(draws)
     assert freq[3] == 0.0
     assert np.allclose(freq[:3], [0.4, 0.3, 0.3], atol=0.04)
+    # on every path, split's basis and weights are the LP's, and its draw
+    # is the LP basis picked with the same uniform
+    for name, grid, spec, _ in PATH_GRIDS:
+        for k, x in enumerate(_interior_rows(grid, 25, 4)):
+            out = split(grid, x, spec, RngStream(k))
+            ref = local_dq_solve(grid, x, spec)
+            assert out.basis == ref.basis, name
+            np.testing.assert_allclose(out.weights, ref.weights, rtol=0,
+                                       atol=1e-12, err_msg=name)
+            u = RngStream(k).uniform()
+            assert out.index == ref.basis[int(pick(ref.weights, u))], name
 
 
 def _select_loop(basis, weights, u):
@@ -168,6 +266,14 @@ def test_interpolate_examples():
     assert interpolate(g, lambda x: 3 * x[0] - 1, np.array([0.3]), S2) == pytest.approx(
         -0.1, abs=1e-12
     )
+    # on every path, the LP's weighted sum
+    F = lambda x: float(np.exp(x.sum()))
+    for name, grid, spec, _ in PATH_GRIDS:
+        for x in _interior_rows(grid, 25, 5):
+            ref = local_dq_solve(grid, x, spec)
+            want = sum(w * F(grid.points[i])
+                       for i, w in zip(ref.basis, ref.weights))
+            assert abs(interpolate(grid, F, x, spec) - want) <= 1e-12, name
 
 
 def test_interpolate_dominates_convex_functions():
