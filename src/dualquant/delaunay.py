@@ -11,13 +11,18 @@ power function lower-bounds F^2 anywhere in the hull.  The batch
 evaluator below maximizes that power over all triangles, which is the
 same dual certificate the LP produces, vectorized.
 
-Construction runs Qhull (``scipy.spatial.Delaunay``) with the fixed
-options ``Qbb Qc Qz Q12`` (scipy adds ``Qt``) and never ``QJ``, so no
-joggle enters the mesh.  Its triangles are then put in canonical order
-and near-cocircular quads are resolved toward the diagonal with the
-lexicographically smallest sorted index pair, by a tolerance-aware
-in-circle predicate; the triangulation is deterministic for a fixed
-point order.
+Construction runs Qhull (``scipy.spatial.Delaunay``) on the points
+centred on their mean, with the fixed options ``Qbb Qc Qz Q12`` (scipy
+adds ``Qt``) and never ``QJ``, so no joggle enters the mesh.  Its
+triangles are then put in canonical order, in the caller's
+coordinates, and near-cocircular quads are resolved toward the diagonal
+with the lexicographically smallest sorted index pair, by a
+tolerance-aware in-circle predicate; the triangulation is deterministic
+for a fixed point order.
+
+Point location has one implementation, the walk of ``batch_solve``,
+with an edge slack relative to the grid's diameter; ``locate`` and
+``hull_mask`` read its answer.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .lp import LocalSolution
 
 # Relative scale factor for treating an in-circle determinant as zero.
 COCIRCULAR_EPS = 1e-12
-# Edge containment slack for location, as a signed distance factor.
+# Edge containment slack for location, relative to the grid's diameter.
 EDGE_TOL = 1e-9
 QHULL_OPTIONS = "Qbb Qc Qz Q12"
 
@@ -95,8 +100,9 @@ class Triangulation:
     triangles: list[tuple[int, int, int]]
     neighbors: list[tuple[int, int, int]]
     _power: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    # the Qhull mesh and, per Qhull simplex, a canonical triangle to walk from
-    _qhull: tuple[Delaunay, np.ndarray] | None = field(
+    # the Qhull mesh of the centred points, per Qhull simplex a canonical
+    # triangle to walk from, and the centre
+    _qhull: tuple[Delaunay, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
 
     @property
@@ -169,8 +175,11 @@ def triangulate(grid) -> Triangulation:
         raise ValueError("triangulate expects an (n, 2) point array")
     if pts.shape[0] < 3:
         raise FlatGridError("need at least three points to triangulate")
+    # Qhull's roundoff bound grows with the largest coordinate: far from
+    # the origin it would merge points that the grid keeps apart
+    centre = pts.mean(axis=0)
     try:
-        qhull = Delaunay(pts, qhull_options=QHULL_OPTIONS)
+        qhull = Delaunay(pts - centre, qhull_options=QHULL_OPTIONS)
     except QhullError as exc:
         reason = str(exc).strip().splitlines()[0]
         raise FlatGridError(f"grid points do not span the plane ({reason})") from exc
@@ -182,7 +191,8 @@ def triangulate(grid) -> Triangulation:
         pts, *_canonical_triangles(pts, qhull.simplices))
     starts = _walk_starts(qhull.simplices, tris, len(pts))
     return Triangulation(pts, list(map(tuple, tris.tolist())),
-                         list(map(tuple, nbrs.tolist())), _qhull=(qhull, starts))
+                         list(map(tuple, nbrs.tolist())),
+                         _qhull=(qhull, starts, centre))
 
 
 def _walk_starts(simplices, tris, n):
@@ -240,78 +250,11 @@ def _resolve_cocircular_diagonals(P, tris, nbrs):
     return tris, nbrs
 
 
-def locate(tri: Triangulation, xi, hint: int | None = None) -> int | None:
-    """Walk to the triangle containing xi; None when xi is outside.
-
-    When xi lies on a shared edge or vertex, the lowest-indexed
-    containing triangle is returned.
-    """
-    P = tri.points
-    x, y = float(xi[0]), float(xi[1])
-    ntri = len(tri.triangles)
-    scale = 1.0 + abs(x) + abs(y)
-    tol = EDGE_TOL * scale
-
-    for start in ((hint if hint is not None and 0 <= hint < ntri else 0), 0):
-        t = start
-        ok = None
-        for _ in range(4 * ntri + 8):
-            i, j, k = tri.triangles[t]
-            pi, pj, pk = P[i], P[j], P[k]
-            # cross the first strictly-violated edge (deterministic walk)
-            s_ij = orient2d(pi[0], pi[1], pj[0], pj[1], x, y)
-            if s_ij < -tol * _elen(pi, pj):
-                nxt = tri.neighbors[t][2]
-                if nxt == -1:
-                    ok = None
-                    break
-                t = nxt
-                continue
-            s_jk = orient2d(pj[0], pj[1], pk[0], pk[1], x, y)
-            if s_jk < -tol * _elen(pj, pk):
-                nxt = tri.neighbors[t][0]
-                if nxt == -1:
-                    ok = None
-                    break
-                t = nxt
-                continue
-            s_ki = orient2d(pk[0], pk[1], pi[0], pi[1], x, y)
-            if s_ki < -tol * _elen(pk, pi):
-                nxt = tri.neighbors[t][1]
-                if nxt == -1:
-                    ok = None
-                    break
-                t = nxt
-                continue
-            ok = t
-            break
-        if ok is not None:
-            # boundary hit: pick the lowest-indexed triangle containing xi
-            best = ok
-            seen = {ok}
-            stack = [ok]
-            while stack:
-                cur = stack.pop()
-                for nb in tri.neighbors[cur]:
-                    if nb == -1 or nb in seen:
-                        continue
-                    i, j, k = tri.triangles[nb]
-                    pi, pj, pk = P[i], P[j], P[k]
-                    if (
-                        orient2d(pi[0], pi[1], pj[0], pj[1], x, y) >= -tol * _elen(pi, pj)
-                        and orient2d(pj[0], pj[1], pk[0], pk[1], x, y) >= -tol * _elen(pj, pk)
-                        and orient2d(pk[0], pk[1], pi[0], pi[1], x, y) >= -tol * _elen(pk, pi)
-                    ):
-                        seen.add(nb)
-                        stack.append(nb)
-                        if nb < best:
-                            best = nb
-            return best
-    return None
-
-
-def _elen(pa, pb) -> float:
-    return abs(pb[0] - pa[0]) + abs(pb[1] - pa[1]) + 1e-30
+def locate(tri: Triangulation, xi) -> int | None:
+    """Index of the triangle containing xi, or None when xi is outside:
+    the one-row answer of ``batch_solve``, ties included."""
+    t = batch_solve(tri, np.asarray(xi, dtype=float).reshape(1, 2))[0][0]
+    return None if t < 0 else int(t)
 
 
 def dq_solve_delaunay(grid: Grid, tri: Triangulation, xi, spec: NormSpec) -> LocalSolution:
@@ -340,24 +283,18 @@ def dq_solve_delaunay(grid: Grid, tri: Triangulation, xi, spec: NormSpec) -> Loc
 
 
 def hull_mask(tri: Triangulation, X) -> np.ndarray:
-    """Boolean mask of rows of X inside (or on) the hull of the points."""
-    X = np.asarray(X, dtype=float)
-    P = tri.points
-    scale = 1.0 + float(np.max(np.abs(P)))
-    inside = np.ones(X.shape[0], dtype=bool)
-    for a, b in tri.boundary_edges():
-        pa, pb = P[a], P[b]
-        e = pb - pa
-        elen = float(np.hypot(e[0], e[1]))
-        cross = e[0] * (X[:, 1] - pa[1]) - e[1] * (X[:, 0] - pa[0])
-        inside &= cross >= -EDGE_TOL * scale * elen
-    return inside
+    """Boolean mask of rows of X inside (or on) the hull of the points:
+    the rows that ``batch_solve`` locates in a triangle."""
+    return batch_solve(tri, X)[0] >= 0
 
 
 def batch_values(tri: Triangulation, X) -> np.ndarray:
     """F^2 at each row of X by maximizing the triangle power functions.
 
     Only valid inside the hull; combine with hull_mask for exteriors.
+    The maximum stays although the located triangle's power alone is
+    F^2: on sliver triangles that one power loses up to about 5e-13 to
+    cancellation, and it reads slightly negative at grid points.
     """
     X = np.asarray(X, dtype=float)
     z, r2 = tri.power_data()
@@ -370,37 +307,38 @@ def batch_values(tri: Triangulation, X) -> np.ndarray:
 
 def _edge_table(P, tris):
     """Edge k of triangle t, opposite its vertex k and directed CCW, is
-    the flat edge 3t + k; per flat edge: start point, vector, L1 length."""
+    the flat edge 3t + k; per flat edge: start point, vector, and the
+    containment slack, EDGE_TOL times the grid's diameter times the
+    edge's L1 length, so the test does not depend on units or origin."""
     a = P[tris[:, [1, 2, 0]]].reshape(-1, 2)
     e = P[tris[:, [2, 0, 1]]].reshape(-1, 2) - a
-    elen = np.abs(e[:, 0]) + np.abs(e[:, 1]) + 1e-30
-    return a[:, 0], a[:, 1], e[:, 0], e[:, 1], elen
+    diameter = float(np.hypot(*np.ptp(P, axis=0)))
+    slack = EDGE_TOL * diameter * (np.abs(e[:, 0]) + np.abs(e[:, 1]))
+    return a[:, 0], a[:, 1], e[:, 0], e[:, 1], slack
 
 
 def _edges_hold(table, X, edges) -> np.ndarray:
     """Flags shaped like ``edges`` (m, k): row r of X is on the inner
-    side of flat edge edges[r, j], within ``locate``'s tolerance and with
-    its arithmetic."""
-    ax, ay, ex, ey, elen = (col[edges] for col in table)
+    side of flat edge edges[r, j], within the edge's slack."""
+    ax, ay, ex, ey, slack = (col[edges] for col in table)
     x, y = X[:, :1], X[:, 1:]
-    tol = EDGE_TOL * (1.0 + np.abs(x) + np.abs(y))
-    return ex * (y - ay) - ey * (x - ax) >= -tol * elen
+    return ex * (y - ay) - ey * (x - ax) >= -slack
 
 
 def _locate_rows(tri, mesh, X) -> np.ndarray:
-    """``locate`` for every row of X (rows inside the hull); -1 where the
-    walk leaves the mesh."""
+    """The containing triangle of every row of X; -1 where the walk
+    leaves the mesh through a boundary edge."""
     tris, nbrs, table, twin = mesh
     T = len(tris)
     own = 3 * np.arange(T)[:, None] + np.arange(3)
     t = np.zeros(len(X), dtype=np.intp)
     if tri._qhull is not None:
-        qhull, starts = tri._qhull
-        s = qhull.find_simplex(X)
+        qhull, starts, centre = tri._qhull
+        s = qhull.find_simplex(X - centre)
         t[s >= 0] = starts[s[s >= 0]]
 
-    # locate's walk, all rows at once: cross the first violated edge,
-    # testing (i, j), (j, k), (k, i) in turn
+    # the walk, all rows at once: cross the first violated edge, testing
+    # (i, j), (j, k), (k, i) in turn
     live = np.arange(len(X))
     for _ in range(4 * T + 8):
         if live.size == 0:
@@ -438,12 +376,12 @@ def _locate_rows(tri, mesh, X) -> np.ndarray:
 def batch_solve(tri: Triangulation, X):
     """Containing triangle and barycentric weights for each row of X.
 
-    Returns (tidx, lam): tidx[i] == -1 marks exterior rows (lam zero).
-    Qhull's ``find_simplex`` gives each row a start, ``locate``'s walk
-    finishes there, and a row on shared edges or vertices resolves to
-    the lowest-indexed triangle containing it, exactly as ``locate``
-    does.  Every row is solved on its own: the result for a row does not
-    depend on the other rows of X.
+    Returns (tidx, lam): tidx[i] == -1 marks exterior rows (lam zero),
+    those whose walk leaves the mesh through a boundary edge.  Qhull's
+    ``find_simplex`` gives each row a start, and a row on shared edges or
+    vertices resolves to the lowest-indexed triangle containing it.
+    Every row is solved on its own: the result for a row does not depend
+    on the other rows of X.
     """
     X = np.asarray(X, dtype=float)
     P = tri.points
@@ -452,18 +390,16 @@ def batch_solve(tri: Triangulation, X):
     back = np.argmax(nbrs[nbrs] == np.arange(len(tris))[:, None, None], axis=2)
     mesh = (tris, nbrs, _edge_table(P, tris),
             np.where(nbrs >= 0, 3 * nbrs + back, -1))
-    inside = hull_mask(tri, X)
-    tidx = np.full(X.shape[0], -1, dtype=np.intp)
-    lam = np.zeros((X.shape[0], 3))
-    # blocks of rows bound the temporaries at a few megabytes
+    tidx = np.empty(X.shape[0], dtype=np.intp)
+    # blocks of rows bound the walk's temporaries at a few megabytes
     for start in range(0, X.shape[0], 4096):
-        rows = start + np.flatnonzero(inside[start:start + 4096])
-        t = tidx[rows] = _locate_rows(tri, mesh, X[rows])
-        rows, t = rows[t >= 0], t[t >= 0]
-        a, b, c = (P[tris[t, k]].T for k in range(3))
-        x = X[rows].T
-        area = orient2d(*a, *b, *c)
-        w0 = orient2d(*x, *b, *c) / area
-        w1 = orient2d(*a, *x, *c) / area
-        lam[rows] = np.column_stack([w0, w1, 1.0 - w0 - w1])
+        tidx[start:start + 4096] = _locate_rows(tri, mesh, X[start:start + 4096])
+    rows = np.flatnonzero(tidx >= 0)
+    a, b, c = (P[tris[tidx[rows], k]].T for k in range(3))
+    x = X[rows].T
+    area = orient2d(*a, *b, *c)
+    w0 = orient2d(*x, *b, *c) / area
+    w1 = orient2d(*a, *x, *c) / area
+    lam = np.zeros((X.shape[0], 3))
+    lam[rows] = np.column_stack([w0, w1, 1.0 - w0 - w1])
     return tidx, lam

@@ -149,13 +149,13 @@ def unit_frame(grid: Grid, xi) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def in_convex_hull(grid: Grid, xi, tol: float = FEAS_TOL) -> bool:
+def in_convex_hull(grid: Grid, xi) -> bool:
     """Feasibility of xi as a convex combination of the grid points, to
-    within tol in units of the grid's spread (see unit_frame)."""
+    within FEAS_TOL in units of the grid's spread (see unit_frame)."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (grid.dim,):
         raise ValueError(f"query point must have shape ({grid.dim},)")
-    return _simplex.phase_one_feasible(*unit_frame(grid, xi), tol)
+    return _simplex.phase_one_feasible(*unit_frame(grid, xi), FEAS_TOL)
 
 
 def circumcenter(points) -> tuple[np.ndarray, float]:

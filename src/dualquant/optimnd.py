@@ -30,6 +30,7 @@ from .rng import RngStream
 from .splitting import nn_project
 
 _PROBE_STREAM = 0x7FFFFFFF  # substream reserved for degeneracy probes
+_PROBES = 64  # samples in the degeneracy probe
 _GRADIENT_ROWS = 4096  # rows per solve in a gradient shard: bounds memory
 _RETRIANGULATE_EVERY = 64  # training samples solved on one mesh
 
@@ -202,15 +203,14 @@ def _train_blocks(pts, pinned, dist, cfg, sample_stream, record):
 
 
 def _degeneracy_probe(grid: Grid, dist: DistributionSpec, spec: NormSpec,
-                      rng: RngStream, solver: BatchSolver,
-                      probes: int = 64) -> None:
-    X = np.asarray(dist.sampler(rng.substream(_PROBE_STREAM), probes), float)
+                      rng: RngStream, solver: BatchSolver) -> None:
+    X = np.asarray(dist.sampler(rng.substream(_PROBE_STREAM), _PROBES), float)
     tied = solver.tied(X)
     fails = (_lp_probe_failures(grid, X, spec) if tied is None
              else int(np.count_nonzero(tied)))
-    if fails > 0.01 * probes:
+    if fails > 0.01 * _PROBES:
         warnings.warn(
-            f"{fails}/{probes} probe samples hit degenerate queries; "
+            f"{fails}/{_PROBES} probe samples hit degenerate queries; "
             "the pathwise gradient may be biased for this grid",
             RuntimeWarning, stacklevel=3)
 

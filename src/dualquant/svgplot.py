@@ -18,6 +18,7 @@ from .geometry import Grid, save_grid
 __all__ = ["render_grid_svg", "write_figure"]
 
 _POINT_R = 3.5
+_SIZE = 640  # width and height in pixels
 _STYLE = (
     "  <style>\n"
     "    .edge { stroke: #9aa3ab; stroke-width: 1; }\n"
@@ -37,8 +38,8 @@ def _edge_set(tri: Triangulation) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
-def render_grid_svg(grid: Grid, show_hull: bool = True, width: int = 640,
-                    height: int = 640, title: str | None = None) -> str:
+def render_grid_svg(grid: Grid, show_hull: bool = True,
+                    title: str | None = None) -> str:
     """Render a 2D grid to an SVG string (points, edges, hull outline)."""
     if grid.dim != 2:
         raise ValueError("SVG rendering is for two-dimensional grids")
@@ -48,20 +49,20 @@ def render_grid_svg(grid: Grid, show_hull: bool = True, width: int = 640,
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-30)
     margin = 40.0
-    scale = min((width - 2 * margin) / span[0], (height - 2 * margin) / span[1])
+    scale = (_SIZE - 2 * margin) / max(span[0], span[1])
     mid = 0.5 * (lo + hi)
 
     def to_px(p):
         # y grows downward in SVG, so flip the second axis
-        x = width / 2 + (p[0] - mid[0]) * scale
-        y = height / 2 - (p[1] - mid[1]) * scale
+        x = _SIZE / 2 + (p[0] - mid[0]) * scale
+        y = _SIZE / 2 - (p[1] - mid[1]) * scale
         return f"{x:.2f}", f"{y:.2f}"
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+        f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">\n',
         _STYLE,
-        f'  <rect width="{width}" height="{height}" fill="#ffffff"/>\n',
+        f'  <rect width="{_SIZE}" height="{_SIZE}" fill="#ffffff"/>\n',
     ]
     if title:
         out.append(f'  <text x="{margin:.0f}" y="24">{title}</text>\n')

@@ -105,10 +105,9 @@ def test_locate_agrees_with_barycentric_containment():
     rng = np.random.default_rng(seed + 3)
     g = random_grid(rng, 40)
     tri = triangulate(g)
-    hint = None
     for _ in range(300):
         xi = rng.uniform(0, 1, size=2)
-        t = locate(tri, xi, hint=hint)
+        t = locate(tri, xi)
         inside = in_convex_hull(g, xi)
         assert (t is not None) == inside
         if t is not None:
@@ -116,7 +115,6 @@ def test_locate_agrees_with_barycentric_containment():
             M = np.vstack([g.points[[i, j, k]].T, np.ones(3)])
             lam = np.linalg.solve(M, np.array([xi[0], xi[1], 1.0]))
             assert lam.min() >= -1e-9
-            hint = t
 
 
 def test_fast_path_matches_lp():

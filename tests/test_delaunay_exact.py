@@ -2,18 +2,22 @@
 
 The mesh of a seeded grid is pinned by digest, location in a batch
 follows ``locate``'s tie rule and does not depend on the other rows,
-the mesh does not depend on units or origin, and degenerate input
-raises a typed error.
+the mesh, the located triangles and the hull test do not depend on
+units or origin, the hull test agrees with LP feasibility, and
+degenerate input raises a typed error.
 """
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualquant.delaunay import batch_solve, locate, triangulate
+from dualquant.delaunay import batch_solve, hull_mask, locate, triangulate
 from dualquant.errors import FlatGridError
-from dualquant.geometry import Grid
+from dualquant.geometry import Grid, in_convex_hull
 from dualquant.metrics import product_grid
 
 
@@ -109,12 +113,72 @@ def test_batch_solve_rows_are_independent(points):
                                     product_points(8)],
                          ids=["random64", "ring256", "product8"])
 @pytest.mark.parametrize("scale,offset", [(1e-3, 0.0), (1e3, 0.0),
-                                          (1e6, 0.0), (1e3, 1e6)])
+                                          (1e6, 0.0), (1e3, 1e6),
+                                          (1.0, 1e6), (1e-3, 1e6)])
 def test_mesh_does_not_depend_on_units_or_origin(points, scale, offset):
     unit = triangulate(Grid(points))
     moved = triangulate(Grid(scale * points + offset))
     assert moved.triangles == unit.triangles
     assert moved.neighbors == unit.neighbors
+
+
+@pytest.mark.parametrize("points", [random_points(), ring_points(),
+                                    product_points(8)],
+                         ids=["random64", "ring256", "product8"])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_hull_mask_matches_lp_feasibility(points, offset):
+    # grid and edge points lie on or inside the hull; pushed 1e-6 away
+    # from the centroid, those on the boundary leave it
+    points = points + offset
+    grid = Grid(points)
+    tri = triangulate(grid)
+    X = grid_and_edge_points(tri)
+    X = np.vstack([X, X + 1e-6 * (X - points.mean(axis=0))])
+    mask = hull_mask(tri, X)
+    assert mask.tolist() == [in_convex_hull(grid, x) for x in X]
+    assert not mask.all()
+
+
+GRIDS = {"random64": random_points, "ring256": ring_points,
+         "product8": lambda: product_points(8)}
+
+
+@lru_cache(maxsize=None)
+def unit_probes(name):
+    """The grid, its mesh, and probes: every grid point, plus uniform
+    draws around the hull that keep 1e-3 of the grid's diameter from
+    every edge.  Moving the grid to scale 1e-6 and offset 1e6 rounds its
+    coordinates by about 4e-5 of its diameter, which cannot carry such a
+    probe across an edge; grid points round exactly as the grid does."""
+    points = GRIDS[name]()
+    tri = triangulate(Grid(points))
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    X = np.random.default_rng(5).uniform(lo - 0.1 * (hi - lo),
+                                         hi + 0.1 * (hi - lo), size=(200, 2))
+    edges = np.array(sorted({(min(a, b), max(a, b)) for t in tri.triangles
+                             for a, b in zip(t, t[1:] + t[:1])}))
+    a, ab = points[edges[:, 0]], points[edges[:, 1]] - points[edges[:, 0]]
+    w = np.clip(np.einsum("rek,ek->re", X[:, None] - a, ab)
+                / np.sum(ab * ab, axis=1), 0.0, 1.0)
+    gap = np.linalg.norm(X[:, None] - a - w[..., None] * ab, axis=2)
+    X = X[gap.min(axis=1) > 1e-3 * np.linalg.norm(hi - lo)]
+    return points, tri, np.vstack([points, X])
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(GRIDS)), log_scale=st.floats(-6.0, 6.0),
+       shift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_location_does_not_depend_on_units_or_origin(name, log_scale, shift):
+    points, unit, X = unit_probes(name)
+    scale = 10.0 ** log_scale
+    offset = 1e6 * np.array(shift)
+    moved = triangulate(Grid(scale * points + offset))
+    assert moved.triangles == unit.triangles
+    Xm = scale * X + offset
+    assert np.array_equal(batch_solve(moved, Xm)[0], batch_solve(unit, X)[0])
+    assert np.array_equal(hull_mask(moved, Xm), hull_mask(unit, X))
+    assert ([locate(moved, x) for x in Xm[::16]]
+            == [locate(unit, x) for x in X[::16]])
 
 
 def test_collinear_grid_raises_typed_error():
