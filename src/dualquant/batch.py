@@ -3,6 +3,8 @@
 ``BatchSolver`` picks a path once per grid and serves many query rows:
 
 * ``segments``: an ordered 1D grid brackets a query by its neighbours;
+  rows just past an end, and for ``solve`` rows at a grid point, take
+  the LP;
 * ``simplicial``: a grid in d >= 2 under the Euclidean norm with p = 2
   uses the Qhull Delaunay simplex that contains the query; only rows
   near the hull, and for ``solve`` rows on a facet or in a tied cell
@@ -23,6 +25,18 @@ smallest optimal basis, which ``simplicial`` finds in closed form.
 ``cubature``, ``mc_gradient`` and ``train`` draw from one basis by
 construction; ``cvlq_step`` keeps the LP as the reference they match.
 
+Location: ``simplicial`` asks Qhull's ``find_simplex`` for the simplex
+holding each row.  Its walk starts where the previous row's ended, so a
+batch with more rows than the mesh has simplices is handed over in snake
+order of about one bucket per simplex over the grid's box (a radix sort
+on a uint16 key) and the answers are scattered back.  A row strictly
+inside a simplex gets that simplex from any walk, so its results do not
+change.  A row on a facet ends in one of the simplices holding it, and
+which one hangs on the row walked before it, in any order; ``solve``
+sends such rows to the LP, and ``values`` there differ only by rounding.
+Small batches and meshes with fewer than ``SORT_MIN_BUCKETS`` buckets
+per axis keep the given order, where sorting costs more than it saves.
+
 Reuse: a solver for the same ``Grid`` object and ``(spec, extended)`` as
 the last one takes over its path, so estimators called back to back on
 one grid share its mesh and lazy tables.  The key is identity: grids
@@ -39,7 +53,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
@@ -58,6 +72,23 @@ SPHERE_TOL = 1e-8
 # Cap on one solver's tie table (subsets and inverses, padded); cells
 # past it take the LP, as cells with more than TIE_BUDGET subsets do.
 TIE_TABLE_BYTES = 16 * 2 ** 20
+# Rows reach Qhull's walk in bucket order only in a batch with more rows
+# than the mesh has simplices, on a mesh with at least SORT_MIN_BUCKETS
+# buckets per axis.  Ordering costs about 20 us a call; per row, with
+# numpy's one-thread build on a 2-vCPU Xeon, given order against bucket
+# order: 64 rows, 64-point 2D grid (117 simplices) 130 against 339 ns;
+# 16 384 rows, 2x2 product grid (3 buckets per axis) 74 against 85 ns,
+# 4x4 (6 per axis) 113 against 90 ns.
+SORT_MIN_BUCKETS = 4
+
+
+def _row_min(w: np.ndarray) -> np.ndarray:
+    """``w.min(axis=1)``, NaN included, by columns: numpy reduces slowly
+    along a short axis (50 000 x 3: 2.5 ms against 0.09 ms)."""
+    m = w[:, 0].copy()
+    for k in range(1, w.shape[1]):
+        np.minimum(m, w[:, k], out=m)
+    return m
 
 
 @dataclass(frozen=True)
@@ -92,48 +123,6 @@ def _segment_values(xs: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
     if p == 2:
         return u * v
     return (v * u**p + u * v**p) / (u + v)
-
-
-class _Segments:
-    """1D grid, sorted once: the pair of neighbours bracketing the row."""
-
-    name = "segments"
-
-    def __init__(self, grid: Grid, spec: NormSpec):
-        self.order = np.argsort(grid.points[:, 0], kind="stable")
-        self.xs = grid.points[self.order, 0]
-        self.p = spec.p
-
-    def _inside(self, X: np.ndarray) -> np.ndarray:
-        x = X[:, 0]
-        return (x >= self.xs[0]) & (x <= self.xs[-1])
-
-    def values(self, X):
-        inside = self._inside(X)
-        vals = np.empty(len(X))
-        vals[inside] = _segment_values(self.xs, X[inside, 0], self.p)
-        return inside, vals
-
-    def solve(self, X):
-        inside = self._inside(X)
-        xs, x = self.xs, X[inside, 0]
-        j = np.clip(np.searchsorted(xs, x, side="right"), 1, len(xs) - 1)
-        left, right, gap = x - xs[j - 1], xs[j] - x, xs[j] - xs[j - 1]
-        basis = np.zeros((len(X), 2), dtype=np.intp)
-        weights = np.zeros((len(X), 2))
-        u1 = np.zeros((len(X), 1))
-        pair = np.column_stack([self.order[j - 1], self.order[j]])
-        w = np.column_stack([right / gap, left / gap])
-        swap = pair[:, 0] > pair[:, 1]  # list the pair by grid index
-        pair[swap], w[swap] = pair[swap, ::-1], w[swap, ::-1]
-        basis[inside], weights[inside] = pair, w
-        # the dual line through both costs: u1 = slope of |x_i - xi|^p
-        u1[inside, 0] = (right ** self.p - left ** self.p) / gap
-        return inside, basis, weights, u1
-
-    def nearest(self, X):
-        end = np.where(X[:, 0] < self.xs[0], 0, -1)
-        return self.order[end], np.abs(X[:, 0] - self.xs[end]) ** self.p
 
 
 class _PerRowLP:
@@ -176,6 +165,61 @@ class _PerRowLP:
         return j, dists[np.arange(len(X)), j]
 
 
+class _Segments(_PerRowLP):
+    """1D grid, sorted once: the pair of neighbours bracketing the row.
+    Rows outside the grid by less than FACET_TOL times its span take the
+    LP, whose tolerance may still hold them, and so, for ``solve``, do
+    rows at a grid point, where the LP's basis is not the bracketing
+    pair."""
+
+    name = "segments"
+
+    def __init__(self, grid: Grid, spec: NormSpec, extended: bool):
+        super().__init__(grid, spec, extended)
+        self.order = np.argsort(grid.points[:, 0], kind="stable")
+        self.xs = grid.points[self.order, 0]
+        self.p = spec.p
+        self.band = FACET_TOL * (self.xs[-1] - self.xs[0])
+
+    def _inside(self, X: np.ndarray):
+        """Rows inside the grid's ends, and rows just outside them."""
+        x, lo, hi = X[:, 0], self.xs[0], self.xs[-1]
+        inside = (x >= lo) & (x <= hi)
+        return inside, ~inside & (x >= lo - self.band) & (x <= hi + self.band)
+
+    def values(self, X):
+        inside, lp = self._inside(X)
+        vals = np.empty(len(X))
+        vals[inside] = _segment_values(self.xs, X[inside, 0], self.p)
+        if lp.any():
+            inside[lp], vals[lp] = super().values(X[lp])
+        return inside, vals
+
+    def solve(self, X):
+        inside, lp = self._inside(X)
+        xs, x = self.xs, X[inside, 0]
+        j = np.clip(np.searchsorted(xs, x, side="right"), 1, len(xs) - 1)
+        left, right, gap = x - xs[j - 1], xs[j] - x, xs[j] - xs[j - 1]
+        basis = np.zeros((len(X), 2), dtype=np.intp)
+        weights = np.zeros((len(X), 2))
+        u1 = np.zeros((len(X), 1))
+        pair = np.column_stack([self.order[j - 1], self.order[j]])
+        w = np.column_stack([right / gap, left / gap])
+        swap = pair[:, 0] > pair[:, 1]  # list the pair by grid index
+        pair[swap], w[swap] = pair[swap, ::-1], w[swap, ::-1]
+        basis[inside], weights[inside] = pair, w
+        # the dual line through both costs: u1 = slope of |x_i - xi|^p
+        u1[inside, 0] = (right ** self.p - left ** self.p) / gap
+        lp[inside] = (left == 0) | (right == 0)  # at a grid point
+        if lp.any():
+            inside[lp], basis[lp], weights[lp], u1[lp] = super().solve(X[lp])
+        return inside, basis, weights, u1
+
+    def nearest(self, X):
+        end = np.where(X[:, 0] < self.xs[0], 0, -1)
+        return self.order[end], np.abs(X[:, 0] - self.xs[end]) ** self.p
+
+
 class _Simplicial(_PerRowLP):
     """Qhull Delaunay path for d >= 2, Euclidean norm with p = 2.  The
     basis is the Delaunay simplex holding the row, sorted by grid index,
@@ -207,23 +251,46 @@ class _Simplicial(_PerRowLP):
         self.spread = float(np.max(np.abs(Pc))) or 1.0  # as in unit_frame
         slack = SPHERE_TOL * np.maximum(self.r2, self.span ** 2)
         self.ball = np.sqrt(self.r2 + slack)  # holds the points on the sphere
+        # about one bucket per simplex, m per axis, numbered in uint16
+        m = min(ceil(len(S) ** (1 / d)), int(2 ** (16 / d)))
+        lo, hi = Pc.min(axis=0), Pc.max(axis=0)
+        self.buckets = (lo, hi, m / (hi - lo), m)
 
     @cached_property
     def hull(self):
         """Facet planes of the convex hull, for rows outside the mesh."""
         return ConvexHull(self.Pc).equations
 
+    def _find(self, Xc):
+        """Qhull's simplex per centred row, -1 outside; a large batch is
+        walked in bucket order (see Location in the module docstring).
+        Rows outside the points' box count in its edge buckets."""
+        lo, hi, scale, m = self.buckets
+        if m < SORT_MIN_BUCKETS or len(Xc) <= len(self.qhull.simplices):
+            return self.qhull.find_simplex(Xc)
+        cell = (np.clip(Xc, lo, hi) - lo) * scale
+        cell = np.fmin(cell, m - 1, out=cell).astype(np.uint16)  # NaN: m-1
+        key = cell[:, 0]
+        for a in range(1, Xc.shape[1]):  # odd prefixes run backwards
+            key = key * m + np.where(key & 1, m - 1 - cell[:, a], cell[:, a])
+        order = np.argsort(key, kind="stable")  # a radix sort on uint16
+        found = self.qhull.find_simplex(Xc[order])
+        s = np.empty_like(found)
+        s[order] = found
+        return s
+
     def _locate(self, X):
         """Located simplex (0 outside), centred rows, and row masks:
         ``doubt``, where only the LP can tell inside from outside (near
         the hull, a flat simplex), and the clearly exterior rows."""
         d, Xc = X.shape[1], X - self.center
-        s = self.qhull.find_simplex(Xc)
+        s = self._find(Xc)
         out = s < 0
         near = out.copy()
         if out.any():
-            near[out] = np.max(Xc[out] @ self.hull[:, :d].T + self.hull[:, d],
-                               axis=1) <= FACET_TOL * self.span
+            with np.errstate(invalid="ignore"):  # inf - inf: NaN, exterior
+                dist = Xc[out] @ self.hull[:, :d].T + self.hull[:, d]
+            near[out] = np.max(dist, axis=1) <= FACET_TOL * self.span
         t = np.maximum(s, 0)
         return t, Xc, near | (~out & self.flat[t]), out & ~near
 
@@ -284,7 +351,7 @@ class _Simplicial(_PerRowLP):
             if not live.size:
                 break
             wk = np.einsum("nij,nj->ni", inverse[c[live], k], Xu[live])
-            hit = wk.min(axis=1) >= -TOL
+            hit = _row_min(wk) >= -TOL
             basis[live[hit]], w[live[hit]] = bases[c[live[hit]], k], wk[hit]
             live = live[~hit]
         return basis, w
@@ -304,11 +371,11 @@ class _Simplicial(_PerRowLP):
         Xu = np.column_stack([Xc / self.spread, np.ones(len(X))])
         basis, w = verts[t], np.einsum("nij,nj->ni", inverse[t], Xu)
         u1, inside = 2.0 * (self.z[t] - Xc), ~exterior
-        lp = doubt | (inside & ~(w.min(axis=1) >= FACET_TOL))  # NaN too
+        lp = doubt | (inside & ~(_row_min(w) >= FACET_TOL))  # NaN too
         tie = inside & ~lp & self.tied_simplex[t]
         if tie.any():
             basis[tie], w[tie] = self._first_holding(t[tie], Xu[tie])
-            lp |= tie & ~(w.min(axis=1) >= FACET_TOL)
+            lp |= tie & ~(_row_min(w) >= FACET_TOL)
         if lp.any():
             inside[lp], basis[lp], w[lp], u1[lp] = super().solve(X[lp])
         return inside, basis, w, u1
@@ -328,13 +395,13 @@ class _Simplicial(_PerRowLP):
 
     def tied(self, X):
         """Rows located in a tied simplex."""
-        s = self.qhull.find_simplex(X - self.center)
+        s = self._find(X - self.center)
         return (s >= 0) & self.tied_simplex[s]
 
 
 def _pick(grid: Grid, spec: NormSpec, extended: bool):
     if grid.dim == 1 and grid.n >= 2:
-        return _Segments(grid, spec)
+        return _Segments(grid, spec, extended)
     if grid.dim >= 2 and grid.n > grid.dim and spec.is_euclidean_quadratic:
         try:
             return _Simplicial(grid, extended)

@@ -3,6 +3,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -415,6 +416,114 @@ def _cube_grid(seed):
     """lp3d's grid: the unit cube's corners, pinned, and 22 random
     points."""
     return Grid(_box_grid(3, 22, seed).points, pinned=range(8))
+
+
+LOCATION_GRIDS = [
+    pytest.param(_random_grid(64, 1), id="random64"),
+    pytest.param(_random_grid(256, 2), id="random256"),
+    pytest.param(_random_grid(1024, 3), id="random1024"),
+    *(pytest.param(_product_grid(2, m), id=f"product{m}") for m in (1, 2, 4, 8)),
+    pytest.param(_cube_grid(3), id="cube3d"),
+    pytest.param(Grid(_random_grid(64, 1).points + 1e6), id="shifted1e6"),
+]
+
+
+def _location_rows(path, seed):
+    """Rows in random order: uniform draws over the grid's box grown by
+    a fifth on each side (some exterior), 40 grid points, and points
+    halfway and a quarter along edges of 20 simplices."""
+    P, S, d = path.grid.points, path.qhull.simplices, path.grid.dim
+    lo, hi = P.min(axis=0), P.max(axis=0)
+    rng = np.random.default_rng(seed)
+    S = S[rng.permutation(len(S))[:20]]
+    edges = [t * P[S[:, i]] + (1 - t) * P[S[:, j]]
+             for i, j in itertools.combinations(range(d + 1), 2)
+             for t in (0.5, 0.25)]
+    X = np.vstack([rng.uniform(lo - (hi - lo) / 5, hi + (hi - lo) / 5,
+                               size=(2000, d)),
+                   P[rng.permutation(len(P))[:40]], *edges])
+    return X[rng.permutation(len(X))]
+
+
+def _batches(path, X):
+    """Batches on both sides of the ordering rule: as many rows as the
+    mesh has simplices (walked as given), one more, and all rows."""
+    T = len(path.qhull.simplices)
+    return [X[:T], X[:T + 1], X]
+
+
+def _one_simplex(path, Xc):
+    """Rows outside the mesh or more than 1e-9 inside a simplex (in
+    barycentric weight): every walk, ordered or not, ends there.  A row
+    on a facet (a grid point, an edge) may end in any simplex holding
+    it, and an unordered walk's choice depends on the row before it."""
+    s = path.qhull.find_simplex(Xc)
+    return (s < 0) | (_barycentric(path, Xc, s).min(axis=1) > 1e-9)
+
+
+def _barycentric(path, Xc, s):
+    T = path.qhull.transform[s]
+    c = np.einsum("nij,nj->ni", T[:, :-1], Xc - T[:, -1])
+    return np.column_stack([c, 1.0 - c.sum(axis=1)])
+
+
+@pytest.mark.parametrize("grid", LOCATION_GRIDS)
+def test_ordered_location_equals_find_simplex(grid, monkeypatch):
+    path = batch._Simplicial(grid, extended=True)
+    walked = []
+    find = path.qhull.find_simplex
+    monkeypatch.setattr(path.qhull, "find_simplex",
+                        lambda Y: walked.append(Y) or find(Y))
+    T, m = len(path.qhull.simplices), path.buckets[-1]
+    for Xb in _batches(path, _location_rows(path, 0)):
+        Xc = Xb - path.center
+        got = path._find(Xc)
+        ordered = len(Xb) > T and m >= batch.SORT_MIN_BUCKETS
+        assert not np.array_equal(walked[-1], Xc) == ordered
+        ref = find(Xc)
+        assert np.array_equal(got < 0, ref < 0)
+        one = _one_simplex(path, Xc)
+        assert np.array_equal(got[one], ref[one])
+        inside = got >= 0
+        assert _barycentric(path, Xc[inside], got[inside]).min() >= -1e-9
+
+
+@pytest.mark.parametrize("grid", LOCATION_GRIDS)
+def test_ordered_location_changes_no_result(grid, monkeypatch):
+    solver = BatchSolver(grid, S2, extended=True)
+    path = solver._path
+    batches = _batches(path, _location_rows(path, 1))
+    got = [(solver.values(X), solver.solve(X), solver.tied(X))
+           for X in batches]
+    monkeypatch.setattr(batch, "SORT_MIN_BUCKETS", 2 ** 16)  # as given
+    for X, (vals, sol, tied) in zip(batches, got):
+        for a, b in zip(vars(sol).values(), vars(solver.solve(X)).values()):
+            assert np.array_equal(a, b)
+        one = _one_simplex(path, X - path.center)
+        ref = solver.values(X)
+        assert np.array_equal(vals[one], ref[one])
+        # on a facet both simplices' closed forms hold, up to rounding
+        np.testing.assert_allclose(vals, ref, rtol=0,
+                                   atol=1e-10 * path.span ** 2)
+        assert np.array_equal(tied[one], solver.tied(X)[one])
+
+
+def test_bucket_key_takes_non_finite_rows(monkeypatch):
+    path = batch._Simplicial(_random_grid(64, 1), extended=True)
+    rng = np.random.default_rng(3)
+    X = rng.uniform(0.0, 1.0, size=(400, 2))
+    bad = rng.choice(len(X), 8, replace=False)
+    X[bad] = [[np.inf, 0.5], [-np.inf, 0.5], [np.inf, -np.inf],
+              [0.5, np.nan], [np.nan, np.nan], [1e300, 0.5],
+              [1e300, -1e300], [-1e300, np.inf]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = path._locate(X)
+        monkeypatch.setattr(batch, "SORT_MIN_BUCKETS", 2 ** 16)
+        ref = path._locate(X)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert got[3][bad].all()  # exterior
 
 
 def _estimates(grid_for, dist, spec, n):

@@ -150,6 +150,27 @@ def test_split_extended_projects_outside():
         assert modes == {"interior", "exterior"}, name
 
 
+def test_1d_ends_and_grid_points_take_the_lp():
+    # the LP holds a point up to its tolerance past the ends, and at a
+    # grid point its basis is not the bracketing pair
+    g = Grid([0.0, 0.5, 1.0])
+    for x in (1 + 1e-12, -1e-12, 0.0, 0.5, 1.0):
+        xi = np.array([x])
+        ref = local_dq_solve(g, xi, S2)
+        out = split(g, xi, S2, RngStream(3))
+        assert out.basis == ref.basis
+        assert np.array_equal(out.weights, ref.weights)
+        want = sum(w * (1 + p[0]) for w, p in zip(ref.weights,
+                                                   g.points[list(ref.basis)]))
+        assert interpolate(g, lambda p: 1 + p[0], xi, S2) == want
+        assert BatchSolver(g, S2).values(xi[None])[0] == ref.value
+    assert split(g, np.array([1 + 1e-12]), S2, RngStream(3)).basis == (0, 2)
+    past = np.array([1 + 1e-8])  # past the LP's tolerance
+    with pytest.raises(InfeasibleError):
+        split(g, past, S2, RngStream(3))
+    assert split_extended(g, past, S2, RngStream(3)).mode == "exterior"
+
+
 def test_split_at_vertex_returns_it():
     g = Grid([[0.0], [0.5], [1.0]])
     rng = RngStream(seed)
