@@ -60,8 +60,9 @@ from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from .delaunay import QHULL_OPTIONS
 from .errors import FlatGridError, InfeasibleError, SampleOutsideHullError
-from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec, norm_value_batch
-from .lp import TIE_BUDGET, TOL, _affinely_independent, local_dq_solve
+from .geometry import (EUCLIDEAN_QUADRATIC, Grid, NormSpec,
+                       _affinely_independent, norm_value_batch)
+from .lp import TIE_BUDGET, TOL, is_nondegenerate, local_dq_solve
 
 # The simplicial path leaves to the LP (whose tolerances are 1e-9) a row
 # with a barycentric weight below FACET_TOL or outside the hull by less
@@ -157,6 +158,17 @@ class _PerRowLP:
             if s is not None:
                 basis[i], weights[i], u1[i] = s.basis, s.weights, s.u_spatial
         return inside, basis, weights, u1
+
+    def tied(self, X):
+        """Rows whose LP solution is not strictly complementary; rows
+        outside the hull are untied."""
+        tied = np.zeros(len(X), dtype=bool)
+        for i, x in enumerate(X):
+            try:
+                tied[i] = not is_nondegenerate(self.grid, x, self.spec)
+            except InfeasibleError:
+                pass
+        return tied
 
     def nearest(self, X):
         dists = norm_value_batch(X[:, None, :] - self.grid.points[None],
@@ -438,11 +450,12 @@ class BatchSolver:
         """The path serving rows: "segments", "simplicial" or "lp"."""
         return self._path.name
 
-    def tied(self, X: np.ndarray) -> np.ndarray | None:
-        """Rows in a Delaunay simplex with another grid point on its
-        circumsphere (None on the paths without a Delaunay mesh)."""
-        tied = getattr(self._path, "tied", None)
-        return None if tied is None else tied(X)
+    def tied(self, X: np.ndarray) -> np.ndarray:
+        """Rows where more than one simplex is optimal: on ``simplicial``,
+        rows in a Delaunay simplex with another grid point on its
+        circumsphere; elsewhere, rows whose LP solution is not strictly
+        complementary.  Rows outside the hull are untied."""
+        return self._path.tied(X)
 
     def _exterior(self, X: np.ndarray, inside: np.ndarray):
         if not self.extended:

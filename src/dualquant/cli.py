@@ -110,18 +110,6 @@ def _estimate_dict(est, spec: NormSpec, extended: bool) -> dict:
             "extended": extended}
 
 
-def _box_corners(dist: DistributionSpec) -> tuple[tuple[float, ...], ...]:
-    if dist.support is None:
-        raise ValueError("--pin corners needs a distribution with a "
-                         "bounded support box")
-    lo, hi = (np.asarray(s, dtype=float) for s in dist.support)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("--pin corners needs a bounded support box")
-    axes = np.meshgrid(*[(l, h) for l, h in zip(lo, hi)], indexing="ij")
-    pts = np.stack([a.ravel() for a in axes], axis=1)
-    return tuple(tuple(float(v) for v in row) for row in pts)
-
-
 def _parse_points(text: str) -> tuple[tuple[float, ...], ...]:
     pts = []
     for part in text.split(";"):
@@ -167,7 +155,7 @@ def cmd_trainnd(args) -> tuple[dict, list[str]]:
     if args.pin is None:
         anchors = ()
     elif args.pin == "corners":
-        anchors = _box_corners(dist)
+        anchors = product_grid(dist.box("--pin corners"), 1).points
     else:
         anchors = _parse_points(args.pin)
     cfg = TrainConfig(steps=args.steps, a=args.a, b=args.b, seed=args.seed,
@@ -244,13 +232,7 @@ def _make_integrand(text: str, lip_flag, grid: Grid, dist: DistributionSpec):
     d = grid.dim
 
     def support_sum_range():
-        if dist.support is None:
-            raise ValueError(f"--f {text} needs --lip for distributions "
-                             "without a bounded support box")
-        lo, hi = (np.asarray(s, dtype=float) for s in dist.support)
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError(f"--f {text} needs --lip for distributions "
-                             "without a bounded support box")
+        lo, hi = dist.box(f"--f {text} without --lip")
         return float(lo.sum()), float(hi.sum())
 
     if text == "quadratic":
@@ -329,12 +311,7 @@ def cmd_rate_table(args) -> tuple[dict, list[str]]:
     errors = []
     eff_sizes = []
     if args.kind == "theoretical":
-        if dist.dim != 1 or dist.analytics is None:
-            raise ValueError("theoretical ladders need a 1D distribution "
-                             "with analytics")
-        if dist.support is None:
-            raise ValueError("theoretical ladders need a bounded support")
-        lo, hi = float(dist.support[0][0]), float(dist.support[1][0])
+        lo, hi = dist.box("a theoretical ladder")
         for n in sizes:
             grid = Grid(np.linspace(lo, hi, n))
             err = exact_1d_dq_error(grid, dist)
@@ -344,9 +321,7 @@ def cmd_rate_table(args) -> tuple[dict, list[str]]:
     else:
         if dist.dim != 2:
             raise ValueError("product ladders are two-dimensional")
-        if dist.support is None:
-            raise ValueError("product ladders need a bounded support box")
-        box = dist.support
+        box = dist.box("a product ladder")
         for m in sizes:
             grid = product_grid(box, m)
             est = mc_dq_error(grid, dist, EUCLIDEAN_QUADRATIC, args.samples,

@@ -20,9 +20,9 @@ import numpy as np
 
 from .batch import BatchSolver, shard_reduce
 from .distributions import DistributionSpec
-from .errors import InfeasibleError, SampleOutsideHullError
+from .errors import InfeasibleError
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec
-from .metrics import DEFAULT_CHUNK, mean_and_se
+from .metrics import DEFAULT_CHUNK, _sorted_1d, mean_and_se
 from .rng import RngStream
 from .splitting import pick
 
@@ -128,22 +128,10 @@ def weights_exact_1d(grid: Grid, dist: DistributionSpec,
     so p_i integrates to first partial moments of the two adjacent
     cells; the extended variant adds the tail mass beyond each end to
     the boundary points.  Cross-validates the Monte Carlo estimator.
+    The grid may come in any order.
     """
-    if grid.dim != 1:
-        raise ValueError("exact weights are one-dimensional only")
+    order, xs = _sorted_1d(grid, dist, compact=not extended)
     ana = dist.analytics
-    if dist.dim != 1 or ana is None:
-        raise ValueError("distribution must be one-dimensional with analytics")
-    order = np.argsort(grid.points[:, 0], kind="stable")
-    xs = grid.points[order, 0]
-    if not extended:
-        if dist.support is None:
-            raise ValueError("compact weights need a bounded support")
-        lo, hi = float(dist.support[0][0]), float(dist.support[1][0])
-        span = hi - lo
-        if lo < xs[0] - 1e-12 * span or hi > xs[-1] + 1e-12 * span:
-            raise SampleOutsideHullError(
-                "support exceeds the grid hull; use the extended weights")
     a, b = xs[:-1], xs[1:]
     m0, m1 = ana.partial_moment(0, a, b), ana.partial_moment(1, a, b)
     w = np.zeros(len(xs))

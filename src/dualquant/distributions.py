@@ -48,9 +48,7 @@ class DistributionSpec:
     """A target law: seeded sampler plus optional structure.
 
     ``sampler(rng, n)`` returns an (n, dim) array.  ``support`` is a
-    (lo, hi) box or None when unbounded.  ``strongly_continuous``
-    records that the law assigns no mass to hyperplanes, the hypothesis
-    under which splitting-trained grids stay non-degenerate.
+    (lo, hi) box or None when unbounded; read it through ``box``.
     """
 
     name: str
@@ -58,7 +56,15 @@ class DistributionSpec:
     sampler: Callable[[RngStream, int], np.ndarray]
     support: tuple[np.ndarray, np.ndarray] | None = None
     analytics: Analytics1D | None = None
-    strongly_continuous: bool = True
+
+    def box(self, purpose: str) -> tuple[np.ndarray, np.ndarray]:
+        """The finite support box (lo, hi), each of shape (dim,).  A
+        support that is None or not finite on some axis raises a
+        ValueError that names ``purpose``."""
+        if self.support is None or not np.all(np.isfinite(self.support)):
+            raise ValueError(f"{purpose} needs a distribution with a "
+                             "bounded support box")
+        return self.support
 
 
 def _out(value) -> float | np.ndarray:

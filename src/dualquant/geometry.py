@@ -8,18 +8,16 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lu_factor
 
 from . import _simplex
 from .errors import DegenerateGeometryError, GridFormatError
 
-# Rank decisions use pivot magnitudes against this factor times the
-# input magnitude scale; feasibility checks run in the grid's own units.
+# Rank decisions compare the smallest singular value against this factor
+# times (1 + the largest); feasibility checks run in the grid's own units.
 RANK_TOL = 1e-10
 FEAS_TOL = 1e-9
 
@@ -112,17 +110,11 @@ def extended_matrix(points) -> np.ndarray:
     return np.vstack([pts.T, np.ones(pts.shape[0])])
 
 
-def _rank_deficient(square: np.ndarray) -> bool:
-    """LU pivot-magnitude rank test on a square matrix."""
-    scale = float(np.max(np.abs(square))) if square.size else 0.0
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # singular input is a valid query here
-            lu, _ = lu_factor(square, check_finite=False)
-    except Exception:
-        return True
-    piv = np.abs(np.diag(lu))
-    return bool(np.min(piv) <= RANK_TOL * (1.0 + scale))
+def _affinely_independent(cols: np.ndarray):
+    """Rank test on one matrix or a stack: the smallest singular value
+    above RANK_TOL times (1 + the largest)."""
+    sv = np.linalg.svd(cols, compute_uv=False)
+    return sv[..., -1] > RANK_TOL * (1.0 + sv[..., 0])
 
 
 def is_affine_basis(grid: Grid, indices) -> bool:
@@ -132,8 +124,7 @@ def is_affine_basis(grid: Grid, indices) -> bool:
         return False
     if not all(0 <= i < grid.n for i in idx):
         return False
-    M = extended_matrix(grid.points[idx])
-    return not _rank_deficient(M)
+    return bool(_affinely_independent(extended_matrix(grid.points[idx])))
 
 
 def unit_frame(grid: Grid, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -166,8 +157,7 @@ def circumcenter(points) -> tuple[np.ndarray, float]:
     x0 = pts[0]
     M = 2.0 * (pts[1:] - x0)
     rhs = np.sum(pts[1:] ** 2, axis=1) - np.sum(x0**2)
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= RANK_TOL * (1.0 + sv[0]):
+    if not _affinely_independent(M):
         raise DegenerateGeometryError("circumcenter of an affinely degenerate simplex")
     z = np.linalg.solve(M, rhs)
     r = float(np.linalg.norm(z - x0))

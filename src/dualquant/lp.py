@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _simplex
 from .errors import BasisBudgetError, FlatGridError, InfeasibleError
-from .geometry import Grid, NormSpec, extended_matrix, norm_value_batch, unit_frame
+from .geometry import (Grid, NormSpec, _affinely_independent, extended_matrix,
+                       norm_value_batch, unit_frame)
 
 # Tolerance of the LP's decisions, taken in the grid's own units
 # (see _unit_program), so it is relative to the grid.
@@ -82,11 +83,6 @@ def _unit_program(grid: Grid, xi: np.ndarray, c: np.ndarray):
 
 def _costs(grid: Grid, xi: np.ndarray, spec: NormSpec) -> np.ndarray:
     return norm_value_batch(xi[None, :] - grid.points, spec)
-
-
-def _affinely_independent(cols: np.ndarray):  # one matrix or a stack
-    sv = np.linalg.svd(cols, compute_uv=False)
-    return sv[..., -1] > 1e-10 * (1.0 + sv[..., 0])
 
 
 def _canonical_basis(A, b, c, res, tol_s, tol_w):

@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 
 from .batch import BatchSolver, shard_reduce
 from .distributions import DistributionSpec
+from .errors import SampleOutsideHullError
 from .geometry import Grid, NormSpec
 from .rng import RngStream
 
@@ -37,15 +38,6 @@ class ErrorEstimate:
             raise ValueError("an estimate needs at least two samples")
         if self.std_error < 0.0:
             raise ValueError("std_error must be nonnegative")
-
-
-def _require_ordered(grid: Grid) -> np.ndarray:
-    if grid.dim != 1:
-        raise ValueError("this evaluator is one-dimensional")
-    xs = grid.points[:, 0]
-    if grid.n > 1 and not np.all(np.diff(xs) > 0.0):
-        raise ValueError("grid points must be strictly increasing")
-    return xs
 
 
 def dq_values_batch(grid: Grid, X, spec: NormSpec,
@@ -123,37 +115,47 @@ def mc_voronoi_error(grid: Grid, dist: DistributionSpec, spec: NormSpec,
     return _mc_mean(ev, dist, n_samples, rng, chunk, threads)
 
 
-def _analytics(dist: DistributionSpec):
-    if dist.dim != 1 or dist.analytics is None:
-        raise ValueError("closed-form errors need 1D partial moments")
-    return dist.analytics
+def _sorted_1d(grid: Grid, dist: DistributionSpec | None = None,
+               compact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The rules of the 1D closed forms: returns the grid's stable sort
+    order and its sorted coordinates.  A given law must be 1D with
+    partial moments; in compact mode its support box must lie in the
+    grid's hull to within 1e-12 of the grid's span, else
+    SampleOutsideHullError, as for a Monte Carlo sample outside it."""
+    if grid.dim != 1:
+        raise ValueError("the closed forms are one-dimensional")
+    order = np.argsort(grid.points[:, 0], kind="stable")
+    xs = grid.points[order, 0]
+    if dist is not None and (dist.dim != 1 or dist.analytics is None):
+        raise ValueError("the closed forms need a 1D law with partial "
+                         "moments")
+    if compact:
+        lo, hi = dist.box("compact mode")
+        slack = 1e-12 * (xs[-1] - xs[0])
+        if lo[0] < xs[0] - slack or hi[0] > xs[-1] + slack:
+            raise SampleOutsideHullError(
+                "the support exceeds the grid hull; "
+                "use the extended variant instead")
+    return order, xs
 
 
 def exact_1d_dq_error(grid: Grid, dist: DistributionSpec, p: float = 2,
                       extended: bool = False) -> float:
-    """Exact mean dual quantization error power for an ordered 1D grid.
+    """Exact mean dual quantization error power for a 1D grid in any order.
 
     Integrates (xi - x_i)(x_{i+1} - xi) over each segment via partial
     moments; only the quadratic case reduces to moments this way.
     """
     if p != 2:
         raise ValueError("only p=2 has a partial-moment reduction")
-    xs = _require_ordered(grid)
-    ana = _analytics(dist)
-    if not extended:
-        if dist.support is None:
-            raise ValueError("unbounded support requires the extended error")
-        lo, hi = float(dist.support[0][0]), float(dist.support[1][0])
-        if lo < xs[0] - 1e-12 or hi > xs[-1] + 1e-12:
-            raise ValueError("support exceeds the grid hull; "
-                             "use the extended error instead")
-    pm = ana.partial_moment
+    _, xs = _sorted_1d(grid, dist, compact=not extended)
+    pm = dist.analytics.partial_moment
     a, b = xs[:-1], xs[1:]
     total = float(np.sum((a + b) * pm(1, a, b) - pm(2, a, b)
                          - a * b * pm(0, a, b)))
     if extended:
-        total += float(np.sum(_spread(ana, xs[[0, -1]], [-math.inf, xs[-1]],
-                                      [xs[0], math.inf])))
+        total += float(np.sum(_spread(dist.analytics, xs[[0, -1]],
+                                      [-math.inf, xs[-1]], [xs[0], math.inf])))
     return total
 
 
@@ -168,10 +170,10 @@ def exact_1d_voronoi_error(grid: Grid, dist: DistributionSpec,
     """Exact nearest-neighbour error power with midpoint cell borders."""
     if p != 2:
         raise ValueError("only p=2 has a partial-moment reduction")
-    xs = _require_ordered(grid)
+    _, xs = _sorted_1d(grid, dist)
     borders = np.concatenate(([-math.inf], (xs[:-1] + xs[1:]) / 2.0,
                               [math.inf]))
-    return float(np.sum(_spread(_analytics(dist), xs, borders[:-1],
+    return float(np.sum(_spread(dist.analytics, xs, borders[:-1],
                                 borders[1:])))
 
 
@@ -212,8 +214,8 @@ def product_grid(box, m: int) -> Grid:
 
 
 def scalar_bound(grid: Grid, p: float = 2) -> float:
-    """Worst-case F^p over the hull of an ordered 1D grid: max half gap."""
-    xs = _require_ordered(grid)
+    """Worst-case F^p over the hull of a 1D grid: max half gap."""
+    _, xs = _sorted_1d(grid)
     if len(xs) < 2:
         raise ValueError("need at least two points")
     return float((np.max(np.diff(xs)) / 2.0) ** p)

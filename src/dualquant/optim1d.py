@@ -19,6 +19,7 @@ from scipy.linalg import solve_banded
 from .distributions import DistributionSpec
 from .errors import MaxIterationsError
 from .geometry import Grid
+from .metrics import _sorted_1d
 
 MODES = ("compact", "extended")
 
@@ -33,31 +34,20 @@ class NewtonReport:
     converged: bool
 
 
-def _check_dist(dist: DistributionSpec,
-                mode: str) -> tuple[float, float] | None:
-    """Validate the law and mode; compact mode returns the support ends."""
+def _check_dist(dist: DistributionSpec, mode: str,
+                n: int) -> tuple[float, float] | None:
+    """Validate the law, mode and point count; compact mode returns the
+    support ends."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if dist.dim != 1 or dist.analytics is None:
         raise ValueError("need a 1D distribution with partial moments")
+    if n < 2:
+        raise ValueError("need at least two points")
     if mode == "extended":
         return None
-    if dist.support is None or not np.all(np.isfinite(dist.support)):
-        raise ValueError("compact mode needs a bounded support")
-    return float(dist.support[0][0]), float(dist.support[1][0])
-
-
-def _checked(grid: Grid, dist: DistributionSpec, mode: str) -> np.ndarray:
-    ends = _check_dist(dist, mode)
-    if grid.dim != 1 or grid.n < 2:
-        raise ValueError("need an ordered 1D grid with at least two points")
-    xs = grid.points[:, 0]
-    if not np.all(np.diff(xs) > 0.0):
-        raise ValueError("grid points must be strictly increasing")
-    if ends is not None and (ends[0] < xs[0] - 1e-12
-                             or ends[1] > xs[-1] + 1e-12):
-        raise ValueError("support exceeds the grid hull")
-    return xs
+    lo, hi = dist.box("compact mode")
+    return float(lo[0]), float(hi[0])
 
 
 def gradient_1d(grid: Grid, dist: DistributionSpec,
@@ -65,11 +55,17 @@ def gradient_1d(grid: Grid, dist: DistributionSpec,
     """Exact gradient of the mean quadratic dual quantization error.
 
     Interior component i: pm1(x_{i-1}, x_{i+1}) - x_{i-1} pm0(x_{i-1}, x_i)
-    - x_{i+1} pm0(x_i, x_{i+1}).  Compact mode returns zeros at the pinned
-    endpoints; extended mode adds the derivative of the squared distance
-    to the nearest endpoint over each tail.
+    - x_{i+1} pm0(x_i, x_{i+1}), with neighbours in coordinate order; the
+    grid may come in any order and component i belongs to its point i.
+    Compact mode returns zeros at the endpoints it pins; extended mode
+    adds the derivative of the squared distance to the nearest endpoint
+    over each tail.
     """
-    return _gradient(_checked(grid, dist, mode), dist, mode)
+    ends = _check_dist(dist, mode, grid.n)
+    order, xs = _sorted_1d(grid, dist, compact=ends is not None)
+    g = np.empty(grid.n)
+    g[order] = _gradient(xs, dist, mode)
+    return g
 
 
 def _gradient(xs: np.ndarray, dist: DistributionSpec,
@@ -110,15 +106,20 @@ def hessian_1d(grid: Grid, dist: DistributionSpec,
     """Tridiagonal Hessian of the mean quadratic error, as a dense matrix.
 
     Interior diagonal (x_{i+1} - x_{i-1}) pdf(x_i), off-diagonal minus
-    the cell mass.
+    the cell mass, with neighbours in coordinate order; rows and columns
+    follow the grid's own order, so the matrix is tridiagonal only for a
+    sorted grid.
     """
-    xs = _checked(grid, dist, mode)
+    ends = _check_dist(dist, mode, grid.n)
+    order, xs = _sorted_1d(grid, dist, compact=ends is not None)
     diag, off = _tridiagonal(xs, dist, mode)
     h = np.diag(diag)
     idx = np.arange(len(xs) - 1)
     h[idx, idx + 1] = off
     h[idx + 1, idx] = off
-    return h
+    out = np.empty_like(h)
+    out[np.ix_(order, order)] = h
+    return out
 
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
@@ -146,9 +147,7 @@ def newton_solve(dist: DistributionSpec, n: int, mode: str = "compact",
     coordinate array, whose ordering the step halving preserves, and a
     ``Grid`` is built only for the report.
     """
-    ends = _check_dist(dist, mode)
-    if n < 2:
-        raise ValueError("need at least two points")
+    ends = _check_dist(dist, mode, n)
     q = dist.analytics.quantile
     lo, hi = ends if ends is not None else (q(0.1), q(0.9))
     if init is None:

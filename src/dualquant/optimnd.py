@@ -23,8 +23,8 @@ import numpy as np
 from .batch import BatchSolver, shard_reduce
 from .distributions import DistributionSpec
 from .errors import FlatGridError, InfeasibleError, NonDifferentiableError
-from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec
-from .lp import is_nondegenerate, local_dq_solve
+from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec, _affinely_independent
+from .lp import local_dq_solve
 from .metrics import DEFAULT_CHUNK, mc_dq_error
 from .rng import RngStream
 from .splitting import nn_project
@@ -106,7 +106,6 @@ def cvlq_step(grid: Grid, xi, alpha: float,
 
 def _init_points(dist: DistributionSpec, n: int, anchors: np.ndarray,
                  stream: RngStream) -> np.ndarray:
-    d = dist.dim
     for _ in range(16):
         drawn = np.asarray(dist.sampler(stream, n - len(anchors)), float)
         pts = np.vstack([anchors, drawn]) if len(anchors) else drawn
@@ -114,7 +113,7 @@ def _init_points(dist: DistributionSpec, n: int, anchors: np.ndarray,
             continue
         # rank in the points' own units, so scale and offset do not matter
         unit = (pts - pts.mean(axis=0)) / float(np.max(np.ptp(pts, axis=0)))
-        if np.linalg.matrix_rank(unit, tol=1e-9) == d:
+        if _affinely_independent(unit):
             return pts
     raise FlatGridError("could not draw an affinely spanning initial grid")
 
@@ -202,28 +201,15 @@ def _train_blocks(pts, pinned, dist, cfg, sample_stream, record):
     return coords, outside
 
 
-def _degeneracy_probe(grid: Grid, dist: DistributionSpec, spec: NormSpec,
-                      rng: RngStream, solver: BatchSolver) -> None:
+def _degeneracy_probe(dist: DistributionSpec, rng: RngStream,
+                      solver: BatchSolver) -> None:
     X = np.asarray(dist.sampler(rng.substream(_PROBE_STREAM), _PROBES), float)
-    tied = solver.tied(X)
-    fails = (_lp_probe_failures(grid, X, spec) if tied is None
-             else int(np.count_nonzero(tied)))
+    fails = int(np.count_nonzero(solver.tied(X)))
     if fails > 0.01 * _PROBES:
         warnings.warn(
             f"{fails}/{_PROBES} probe samples hit degenerate queries; "
             "the pathwise gradient may be biased for this grid",
             RuntimeWarning, stacklevel=3)
-
-
-def _lp_probe_failures(grid: Grid, X: np.ndarray, spec: NormSpec) -> int:
-    """Rows of X whose LP solution is not strictly complementary."""
-    fails = 0
-    for x in X:
-        try:
-            fails += not is_nondegenerate(grid, x, spec)
-        except InfeasibleError:
-            continue  # exterior samples use the smooth NN branch
-    return fails
 
 
 def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
@@ -247,7 +233,7 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
         raise ValueError("distribution and grid dimensions differ")
     n, d, p = grid.n, grid.dim, spec.p
     solver = BatchSolver(grid, spec, extended=True)
-    _degeneracy_probe(grid, dist, spec, rng, solver)
+    _degeneracy_probe(dist, rng, solver)
 
     def shard(k: int, m: int) -> tuple:
         X = np.asarray(dist.sampler(rng.substream(k), m), float)

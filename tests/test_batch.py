@@ -19,9 +19,9 @@ from dualquant.distributions import make_normal, make_uniform_box
 from dualquant.errors import InfeasibleError, SampleOutsideHullError
 from dualquant.geometry import EUCLIDEAN_QUADRATIC as S2
 from dualquant.geometry import Grid, NormSpec
-from dualquant.lp import enumerate_bases_oracle, local_dq_solve
+from dualquant.lp import enumerate_bases_oracle, is_nondegenerate, local_dq_solve
 from dualquant.metrics import mc_dq_error
-from dualquant.optimnd import _PROBE_STREAM, _lp_probe_failures, mc_gradient
+from dualquant.optimnd import _PROBE_STREAM, mc_gradient
 from dualquant.rng import RngStream
 from dualquant.splitting import nn_project, pick
 
@@ -325,19 +325,35 @@ def test_simplicial_results_do_not_depend_on_thread_count():
     assert s1 == s3
 
 
-@pytest.mark.parametrize("grid,dist", [
-    (_box_grid(2, 0, 0), U2),
-    (_box_grid(3, 0, 0), U3),
-    (_box_grid(3, 22, 1), U3),
-    (_random_grid(12, 4), U2),
-    (_box_grid(2, 8, 9), U2),
-])
-def test_tied_rows_equal_lp_probe_failures(grid, dist):
+def _lp_degenerate(grid, X, spec):
+    """Per row: the LP solution is not strictly complementary (exterior
+    rows are not)."""
+    out = np.zeros(len(X), dtype=bool)
+    for i, x in enumerate(X):
+        try:
+            out[i] = not is_nondegenerate(grid, x, spec)
+        except InfeasibleError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("grid,dist,spec", [
+    (_box_grid(2, 0, 0), U2, S2),
+    (_box_grid(3, 0, 0), U3, S2),
+    (_box_grid(3, 22, 1), U3, S2),
+    (_random_grid(12, 4), U2, S2),
+    (_box_grid(2, 8, 9), U2, S2),
+    (Grid([0.0, 0.3, 0.7, 1.0]), make_normal(0.5, 0.4), S2),
+    (_box_grid(2, 8, 9), U2, NormSpec("l2", 3.0)),
+    (_box_grid(2, 0, 0), U2, NormSpec("l1", 1.0)),  # every row tied
+], ids=[f"grid{i}-dist{i}" for i in range(5)] + ["segments", "lp-l2-p3",
+                                                 "lp-l1-p1"])
+def test_tied_rows_equal_lp_probe_failures(grid, dist, spec):
     for seed in (1, 2):
         X = np.asarray(dist.sampler(RngStream(seed).substream(_PROBE_STREAM),
                                     64), float)
-        tied = BatchSolver(grid, S2, extended=True).tied(X)
-        assert np.count_nonzero(tied) == _lp_probe_failures(grid, X, S2)
+        solver = BatchSolver(grid, spec, extended=True)
+        assert np.array_equal(solver.tied(X), _lp_degenerate(grid, X, spec))
 
 
 def _random_rows(rng, P, m):

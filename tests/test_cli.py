@@ -79,6 +79,29 @@ def test_eval_exact_rejects_other_exponents(tmp_path, capsys):
     assert code == 2
 
 
+def test_eval_exact_takes_any_grid_order(tmp_path, capsys):
+    docs = []
+    for name, pts in (("sorted", [0.0, 0.3, 0.5, 1.0]),
+                      ("shuffled", [0.5, 0.0, 1.0, 0.3])):
+        gp = tmp_path / f"{name}.csv"
+        save_grid(Grid(pts), gp)
+        code, doc, _ = run_json(capsys, "eval", "--grid", str(gp), "--dist",
+                                "uniform:0,1", "--mode", "exact",
+                                "--compare-voronoi")
+        assert code == 0
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
+def test_eval_exact_outside_hull_exits_one(tmp_path, capsys):
+    gp = tmp_path / "g.json"
+    save_grid(Grid([0.2, 0.8]), gp)
+    code, _, err = run(capsys, "eval", "--grid", str(gp), "--dist",
+                       "uniform:0,1", "--mode", "exact")
+    assert code == 1
+    assert "hull" in err
+
+
 def test_eval_mc_seeded_and_thread_invariant(tmp_path, capsys):
     gp = tmp_path / "g.json"
     save_grid(Grid([0.0, 0.3, 1.0]), gp)
@@ -216,6 +239,13 @@ def test_rate_table_product_slope(tmp_path, capsys):
     text = out.read_text().splitlines()
     assert text[0] == "n,size,err_root,scaled"
     assert len(text) == 4
+
+
+def test_rate_table_theoretical_needs_bounded_support(capsys):
+    code, _, err = run(capsys, "rate-table", "--dist", "exponential:1",
+                       "--sizes", "3,5,9")
+    assert code == 2
+    assert "bounded support" in err
 
 
 def test_rate_table_single_row_errors(capsys):

@@ -134,11 +134,6 @@ def test_parse_distribution():
             parse_distribution(bad)
 
 
-def test_strong_continuity_flag():
-    assert make_uniform_box(0.0, 1.0).strongly_continuous
-    assert make_bm_sup().strongly_continuous
-
-
 # The array contract: elementwise equal to scalar calls, with infinite,
 # reversed and out-of-support bounds, and no floating-point warning.
 ARRAY_LAWS = [make_uniform_box(-2.0, 3.0), make_normal(1.5, 0.5),

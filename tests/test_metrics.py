@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from dualquant.cubature import weights_exact_1d
 from dualquant.distributions import (
     make_exponential,
     make_normal,
@@ -29,6 +30,7 @@ from dualquant.metrics import (
     theoretical_1d_uniform,
     voronoi_1d_uniform_optimum,
 )
+from dualquant.optim1d import gradient_1d, hessian_1d
 from dualquant.rng import RngStream
 
 S2 = NormSpec("l2", 2)
@@ -75,14 +77,59 @@ def test_exact_dual_error_extended_matches_quadrature():
 
 
 def test_exact_dual_error_rejects_bad_input():
-    with pytest.raises(ValueError):
-        exact_1d_dq_error(Grid([0.5, 0.0, 1.0]), U01)
-    with pytest.raises(ValueError):
+    assert (exact_1d_dq_error(Grid([0.5, 0.0, 1.0]), U01)
+            == exact_1d_dq_error(Grid([0.0, 0.5, 1.0]), U01))
+    with pytest.raises(SampleOutsideHullError):
         exact_1d_dq_error(Grid([0.2, 0.8]), U01)
     with pytest.raises(ValueError):
         exact_1d_dq_error(Grid([0.0, 1.0]), make_normal())
     with pytest.raises(ValueError):
         exact_1d_dq_error(Grid([0.0, 1.0]), U01, p=3)
+
+
+def test_closed_forms_take_any_grid_order():
+    """A shuffled grid gives the sorted grid's values bit for bit, and
+    per-point outputs follow the grid's own order."""
+    xs = np.array([0.0, 0.13, 0.4, 0.55, 0.9, 1.0])
+    perm = np.array([3, 0, 5, 2, 4, 1])
+    ordered, shuffled = Grid(xs), Grid(xs[perm])
+    for dist, extended in ((U01, False), (U01, True),
+                           (make_normal(0.4, 0.3), True)):
+        mode = "extended" if extended else "compact"
+        assert (exact_1d_dq_error(shuffled, dist, extended=extended)
+                == exact_1d_dq_error(ordered, dist, extended=extended))
+        assert (exact_1d_voronoi_error(shuffled, dist)
+                == exact_1d_voronoi_error(ordered, dist))
+        assert np.array_equal(
+            weights_exact_1d(shuffled, dist, extended).weights,
+            weights_exact_1d(ordered, dist, extended).weights[perm])
+        assert np.array_equal(gradient_1d(shuffled, dist, mode),
+                              gradient_1d(ordered, dist, mode)[perm])
+        hess = hessian_1d(ordered, dist, mode)
+        assert np.array_equal(hessian_1d(shuffled, dist, mode),
+                              hess[np.ix_(perm, perm)])
+    assert scalar_bound(shuffled, 3) == scalar_bound(ordered, 3)
+
+
+@pytest.mark.parametrize("s", [1e-9, 1.0, 1e9])
+def test_compact_cover_is_relative_to_the_grid(s):
+    """The support may exceed the hull by 1e-12 of the grid's span, at
+    every scale; past that, every compact closed form refuses."""
+    dist = make_uniform_box(0.0, s)
+    checks = (lambda g: exact_1d_dq_error(g, dist),
+              lambda g: weights_exact_1d(g, dist),
+              lambda g: gradient_1d(g, dist))
+    close = Grid(s * np.linspace(0.0, 1.0 - 1e-13, 5))
+    short = Grid(s * np.linspace(0.0, 1.0 - 1e-9, 5))
+    for check in checks:
+        check(close)
+        with pytest.raises(SampleOutsideHullError):
+            check(short)
+
+
+def test_compact_weights_need_a_bounded_support():
+    with pytest.raises(ValueError, match="bounded support"):
+        weights_exact_1d(Grid([0.0, 1.0, 3.0]), make_exponential(1.0))
 
 
 def test_voronoi_error_known_values():

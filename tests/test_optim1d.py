@@ -10,7 +10,7 @@ from dualquant.distributions import (
     make_normal,
     make_uniform_box,
 )
-from dualquant.errors import MaxIterationsError
+from dualquant.errors import MaxIterationsError, SampleOutsideHullError
 from dualquant.geometry import Grid
 from dualquant.metrics import exact_1d_dq_error, theoretical_1d_uniform
 from dualquant.optim1d import (
@@ -113,9 +113,10 @@ def test_hessian_extended_adds_tail_mass():
 
 
 def test_gradient_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gradient_1d(Grid([0.5, 0.2, 1.0]), U01)
-    with pytest.raises(ValueError):
+    shuffled = gradient_1d(Grid([0.5, 0.2, 1.0]), U01, "extended")
+    ordered = gradient_1d(Grid([0.2, 0.5, 1.0]), U01, "extended")
+    np.testing.assert_array_equal(shuffled, ordered[[1, 0, 2]])
+    with pytest.raises(SampleOutsideHullError):
         gradient_1d(Grid([0.2, 0.8]), U01)  # support exceeds hull
     with pytest.raises(ValueError):
         gradient_1d(Grid([0.0, 1.0]), make_normal(), "compact")

@@ -35,8 +35,7 @@ def _point_mass(xi):
     def sampler(rng, n):
         return np.tile(xi, (n, 1))
 
-    return DistributionSpec("point", len(xi), sampler,
-                            strongly_continuous=False)
+    return DistributionSpec("point", len(xi), sampler)
 
 
 def test_cvlq_step_example():
