@@ -6,10 +6,10 @@
   rows just past an end, and for ``solve`` rows at a grid point, take
   the LP;
 * ``simplicial``: a grid in d >= 2 under the Euclidean norm with p = 2
-  uses the Qhull Delaunay simplex that contains the query; only rows
-  near the hull, and for ``solve`` rows on a facet or in a tied cell
-  past ``lp.TIE_BUDGET`` or the table cap ``TIE_TABLE_BYTES``, take the
-  LP;
+  uses the simplex of its ``delaunay.Mesh`` that contains the query;
+  only rows near the hull, and for ``solve`` rows on a facet or in a
+  tied cell past ``lp.TIE_BUDGET`` or the table cap ``TIE_TABLE_BYTES``,
+  take the LP;
 * ``lp``: every other setting, and a grid Qhull rejects or thins (flat,
   or a point too close to another), solves one LP per row.
 
@@ -25,17 +25,9 @@ smallest optimal basis, which ``simplicial`` finds in closed form.
 ``cubature``, ``mc_gradient`` and ``train`` draw from one basis by
 construction; ``cvlq_step`` keeps the LP as the reference they match.
 
-Location: ``simplicial`` asks Qhull's ``find_simplex`` for the simplex
-holding each row.  Its walk starts where the previous row's ended, so a
-batch with more rows than the mesh has simplices is handed over in snake
-order of about one bucket per simplex over the grid's box (a radix sort
-on a uint16 key) and the answers are scattered back.  A row strictly
-inside a simplex gets that simplex from any walk, so its results do not
-change.  A row on a facet ends in one of the simplices holding it, and
-which one hangs on the row walked before it, in any order; ``solve``
-sends such rows to the LP, and ``values`` there differ only by rounding.
-Small batches and meshes with fewer than ``SORT_MIN_BUCKETS`` buckets
-per axis keep the given order, where sorting costs more than it saves.
+Location: a row on a facet ends in any simplex holding it (see
+``Mesh.find``); ``solve`` sends such rows to the LP, and ``values`` there
+differ only by rounding.
 
 Reuse: a solver for the same ``Grid`` object and ``(spec, extended)`` as
 the last one takes over its path, so estimators called back to back on
@@ -53,12 +45,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import ceil, comb
+from math import comb
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
-from .delaunay import QHULL_OPTIONS
+from .delaunay import Mesh
 from .errors import FlatGridError, InfeasibleError, SampleOutsideHullError
 from .geometry import (EUCLIDEAN_QUADRATIC, Grid, NormSpec,
                        _affinely_independent, norm_value_batch)
@@ -73,14 +65,6 @@ SPHERE_TOL = 1e-8
 # Cap on one solver's tie table (subsets and inverses, padded); cells
 # past it take the LP, as cells with more than TIE_BUDGET subsets do.
 TIE_TABLE_BYTES = 16 * 2 ** 20
-# Rows reach Qhull's walk in bucket order only in a batch with more rows
-# than the mesh has simplices, on a mesh with at least SORT_MIN_BUCKETS
-# buckets per axis.  Ordering costs about 20 us a call; per row, with
-# numpy's one-thread build on a 2-vCPU Xeon, given order against bucket
-# order: 64 rows, 64-point 2D grid (117 simplices) 130 against 339 ns;
-# 16 384 rows, 2x2 product grid (3 buckets per axis) 74 against 85 ns,
-# 4x4 (6 per axis) 113 against 90 ns.
-SORT_MIN_BUCKETS = 4
 
 
 def _row_min(w: np.ndarray) -> np.ndarray:
@@ -239,77 +223,43 @@ class _Simplicial(_PerRowLP):
     answers by the LP's rule: the lexicographically first (d+1)-subset of
     its cell, the grid points on its sphere, that holds the row.  Rows
     near the hull or on a facet, and cells past TIE_BUDGET or the
-    TIE_TABLE_BYTES cap, take the LP.  Geometry runs on centred points:
-    an offset costs no precision."""
+    TIE_TABLE_BYTES cap, take the LP.  The geometry is ``self.mesh``'s,
+    on centred points."""
 
     name = "simplicial"
 
     def __init__(self, grid: Grid, extended: bool):
         super().__init__(grid, EUCLIDEAN_QUADRATIC, extended)
-        P, d = grid.points, grid.dim
-        self.center = P.mean(axis=0)
-        Pc = self.Pc = P - self.center
-        self.qhull = Delaunay(Pc, qhull_options=QHULL_OPTIONS)
-        if len(self.qhull.coplanar):
-            raise FlatGridError("Qhull left a grid point out of the mesh")
-        self.tree = cKDTree(Pc)
-        # circumcentre z = r + y, r the last vertex: 2 (x_j - r).y = |x_j - r|^2
-        T, S = self.qhull.transform, self.qhull.simplices
-        y = 0.5 * np.einsum("tji,tj->ti", T[:, :d],
-                            np.sum((Pc[S[:, :d]] - T[:, d, None]) ** 2, axis=2))
-        self.z, self.r2 = T[:, d] + y, np.sum(y * y, axis=1)
-        self.flat = ~np.isfinite(self.r2)  # NaN transforms
-        self.span = float(np.sqrt(np.sum(np.ptp(P, axis=0) ** 2)))
-        self.spread = float(np.max(np.abs(Pc))) or 1.0  # as in unit_frame
-        slack = SPHERE_TOL * np.maximum(self.r2, self.span ** 2)
-        self.ball = np.sqrt(self.r2 + slack)  # holds the points on the sphere
-        # about one bucket per simplex, m per axis, numbered in uint16
-        m = min(ceil(len(S) ** (1 / d)), int(2 ** (16 / d)))
-        lo, hi = Pc.min(axis=0), Pc.max(axis=0)
-        self.buckets = (lo, hi, m / (hi - lo), m)
+        mesh = self.mesh = Mesh(grid.points)
+        self.tree = cKDTree(mesh.Pc)
+        self.spread = float(np.max(np.abs(mesh.Pc))) or 1.0  # as in unit_frame
+        r2 = mesh.spheres[1]  # the ball holds the points on the sphere
+        self.ball = np.sqrt(r2 + SPHERE_TOL * np.maximum(r2, mesh.span ** 2))
 
     @cached_property
     def hull(self):
         """Facet planes of the convex hull, for rows outside the mesh."""
-        return ConvexHull(self.Pc).equations
-
-    def _find(self, Xc):
-        """Qhull's simplex per centred row, -1 outside; a large batch is
-        walked in bucket order (see Location in the module docstring).
-        Rows outside the points' box count in its edge buckets."""
-        lo, hi, scale, m = self.buckets
-        if m < SORT_MIN_BUCKETS or len(Xc) <= len(self.qhull.simplices):
-            return self.qhull.find_simplex(Xc)
-        cell = (np.clip(Xc, lo, hi) - lo) * scale
-        cell = np.fmin(cell, m - 1, out=cell).astype(np.uint16)  # NaN: m-1
-        key = cell[:, 0]
-        for a in range(1, Xc.shape[1]):  # odd prefixes run backwards
-            key = key * m + np.where(key & 1, m - 1 - cell[:, a], cell[:, a])
-        order = np.argsort(key, kind="stable")  # a radix sort on uint16
-        found = self.qhull.find_simplex(Xc[order])
-        s = np.empty_like(found)
-        s[order] = found
-        return s
+        return ConvexHull(self.mesh.Pc).equations
 
     def _locate(self, X):
         """Located simplex (0 outside), centred rows, and row masks:
         ``doubt``, where only the LP can tell inside from outside (near
         the hull, a flat simplex), and the clearly exterior rows."""
-        d, Xc = X.shape[1], X - self.center
-        s = self._find(Xc)
+        d, Xc = X.shape[1], X - self.mesh.center
+        s = self.mesh.find(Xc)
         out = s < 0
         near = out.copy()
         if out.any():
             with np.errstate(invalid="ignore"):  # inf - inf: NaN, exterior
                 dist = Xc[out] @ self.hull[:, :d].T + self.hull[:, d]
-            near[out] = np.max(dist, axis=1) <= FACET_TOL * self.span
+            near[out] = np.max(dist, axis=1) <= FACET_TOL * self.mesh.span
         t = np.maximum(s, 0)
-        return t, Xc, near | (~out & self.flat[t]), out & ~near
+        return t, Xc, near | (~out & self.mesh.spheres[2][t]), out & ~near
 
     def _inverses(self, bases, ok=None):
         """Inverse extended matrices [P; 1] of index rows ``bases``, in units
         of the spread; NaN where ``ok`` (default: the LP's rank test) fails."""
-        M = np.concatenate([self.Pc[bases] / self.spread,
+        M = np.concatenate([self.mesh.Pc[bases] / self.spread,
                             np.ones(bases.shape + (1,))], axis=-1)
         ok = _affinely_independent(M) if ok is None else ok
         inverse = np.full(M.shape, np.nan)
@@ -319,15 +269,16 @@ class _Simplicial(_PerRowLP):
     @cached_property
     def _sorted(self):
         """Per simplex, its vertices by grid index and their inverse."""
-        verts = np.sort(self.qhull.simplices, axis=1)
-        return verts, self._inverses(verts, ~self.flat)
+        verts = np.sort(self.mesh.qhull.simplices, axis=1)
+        return verts, self._inverses(verts, ~self.mesh.spheres[2])
 
     @cached_property
     def tied_simplex(self):
         """Flat, or more than d+1 grid points on the sphere."""
-        z, ball = np.nan_to_num(self.z), np.nan_to_num(self.ball)
-        on_sphere = self.tree.query_ball_point(z, ball, return_length=True)
-        return self.flat | (on_sphere > self.grid.dim + 1)
+        z, _, flat = self.mesh.spheres
+        on_sphere = self.tree.query_ball_point(
+            np.nan_to_num(z), np.nan_to_num(self.ball), return_length=True)
+        return flat | (on_sphere > self.grid.dim + 1)
 
     @cached_property
     def _cells(self):
@@ -336,12 +287,13 @@ class _Simplicial(_PerRowLP):
         with point 0, and inverses.  Cells are admitted in simplex order
         until the next one would take the padded table past
         TIE_TABLE_BYTES; the rest go to the LP."""
-        d, tied = self.grid.dim, np.flatnonzero(self.tied_simplex & ~self.flat)
+        z, _, flat = self.mesh.spheres
+        d, tied = self.grid.dim, np.flatnonzero(self.tied_simplex & ~flat)
         row_bytes = 8 * (d + 1) * (d + 2)  # one padded subset and inverse
         ids, K, full = {}, 0, False
-        cell_of = np.full(len(self.r2), -1)
+        cell_of = np.full(len(z), -1)
         for t, cell in zip(tied, self.tree.query_ball_point(
-                self.z[tied], self.ball[tied], return_sorted=True)):
+                z[tied], self.ball[tied], return_sorted=True)):
             key, k = tuple(cell), comb(len(cell), d + 1)
             if key not in ids and k <= TIE_BUDGET and not full:
                 full = (len(ids) + 1) * max(K, k) * row_bytes > TIE_TABLE_BYTES
@@ -370,8 +322,9 @@ class _Simplicial(_PerRowLP):
 
     def values(self, X):
         t, Xc, lp, exterior = self._locate(X)
-        D = Xc - self.z[t]
-        vals = np.maximum(self.r2[t] - np.einsum("ij,ij->i", D, D), 0.0)
+        z, r2, _ = self.mesh.spheres
+        D = Xc - z[t]
+        vals = np.maximum(r2[t] - np.einsum("ij,ij->i", D, D), 0.0)
         inside = ~exterior
         if lp.any():
             inside[lp], vals[lp] = super().values(X[lp])
@@ -382,7 +335,7 @@ class _Simplicial(_PerRowLP):
         verts, inverse = self._sorted
         Xu = np.column_stack([Xc / self.spread, np.ones(len(X))])
         basis, w = verts[t], np.einsum("nij,nj->ni", inverse[t], Xu)
-        u1, inside = 2.0 * (self.z[t] - Xc), ~exterior
+        u1, inside = 2.0 * (self.mesh.spheres[0][t] - Xc), ~exterior
         lp = doubt | (inside & ~(_row_min(w) >= FACET_TOL))  # NaN too
         tie = inside & ~lp & self.tied_simplex[t]
         if tie.any():
@@ -393,12 +346,12 @@ class _Simplicial(_PerRowLP):
         return inside, basis, w, u1
 
     def nearest(self, X):
-        Xc = X - self.center
+        Xc = X - self.mesh.center
         dist, j = self.tree.query(Xc)
         d2 = dist ** 2
         # a row with another point within rounding of its nearest distance
         # takes the smallest index by caller-coordinate distances
-        slack = 1e-9 * (dist + self.span)
+        slack = 1e-9 * (dist + self.mesh.span)
         tie = self.tree.query_ball_point(Xc, dist + slack,
                                          return_length=True) > 1
         if tie.any():
@@ -407,7 +360,7 @@ class _Simplicial(_PerRowLP):
 
     def tied(self, X):
         """Rows located in a tied simplex."""
-        s = self._find(X - self.center)
+        s = self.mesh.find(X - self.mesh.center)
         return (s >= 0) & self.tied_simplex[s]
 
 
@@ -417,7 +370,7 @@ def _pick(grid: Grid, spec: NormSpec, extended: bool):
     if grid.dim >= 2 and grid.n > grid.dim and spec.is_euclidean_quadratic:
         try:
             return _Simplicial(grid, extended)
-        except (QhullError, FlatGridError):  # rejected or dropped points
+        except FlatGridError:  # rejected or dropped points
             pass
     return _PerRowLP(grid, spec, extended)
 

@@ -1,39 +1,41 @@
-"""Planar Delaunay triangulations and the quadratic Euclidean fast path.
+"""Delaunay meshes and the planar quadratic Euclidean fast path.
 
 For the Euclidean norm with p = 2 the optimal LP basis at xi is the
-Delaunay triangle containing xi, the spatial dual is 2(z - xi) with z
-the triangle circumcenter, and the local error obeys
+Delaunay simplex containing xi, the spatial dual is 2(z - xi) with z
+its circumcenter, and the local error obeys
 
     F^2(xi) = r^2 - ||z - xi||^2
 
-on the containing triangle, while every empty-circumcircle triangle's
-power function lower-bounds F^2 anywhere in the hull.  The batch
-evaluator below maximizes that power over all triangles, which is the
-same dual certificate the LP produces, vectorized.
+on the containing simplex, while every empty-sphere simplex's power
+function lower-bounds F^2 anywhere in the hull.  The batch evaluator
+below maximizes that power over all simplices, which is the same dual
+certificate the LP produces, vectorized.
 
-Construction runs Qhull (``scipy.spatial.Delaunay``) on the points
-centred on their mean, with the fixed options ``Qbb Qc Qz Q12`` (scipy
-adds ``Qt``) and never ``QJ``, so no joggle enters the mesh.  Its
-triangles are then put in canonical order, in the caller's
-coordinates, and near-cocircular quads are resolved toward the diagonal
-with the lexicographically smallest sorted index pair, by a
-tolerance-aware in-circle predicate; the triangulation is deterministic
-for a fixed point order.
+``Mesh`` builds every grid's Delaunay mesh, for ``batch`` in any d >= 2
+and for ``triangulate``: Qhull (``scipy.spatial.Delaunay``) on centred
+points, with the fixed options ``Qbb Qc Qz Q12`` (scipy adds ``Qt``)
+and never ``QJ``, so no joggle enters the mesh.  ``triangulate`` puts
+the triangles in canonical order and resolves near-cocircular quads
+toward the diagonal with the lexicographically smallest sorted index
+pair, by a tolerance-aware in-circle predicate in the caller's
+coordinates; the triangulation is deterministic for a fixed point order.
 
-Point location has one implementation, the walk of ``batch_solve``,
-with an edge slack relative to the grid's diameter; ``locate`` and
-``hull_mask`` read its answer.
+Planar point location has one implementation, the walk of
+``batch_solve``, with an edge slack relative to the grid's diameter;
+``locate`` and ``hull_mask`` read its answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import ceil
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import FlatGridError, InfeasibleError
-from .geometry import Grid, NormSpec
+from .geometry import Grid, NormSpec, circumcenter
 from .lp import LocalSolution
 
 # Relative scale factor for treating an in-circle determinant as zero.
@@ -41,6 +43,84 @@ COCIRCULAR_EPS = 1e-12
 # Edge containment slack for location, relative to the grid's diameter.
 EDGE_TOL = 1e-9
 QHULL_OPTIONS = "Qbb Qc Qz Q12"
+# Rows reach Qhull's walk in bucket order only in a batch with more rows
+# than the mesh has simplices, on a mesh with at least SORT_MIN_BUCKETS
+# buckets per axis.  Ordering costs about 20 us a call; per row, with
+# numpy's one-thread build on a 2-vCPU Xeon, given order against bucket
+# order: 64 rows, 64-point 2D grid (117 simplices) 130 against 339 ns;
+# 16 384 rows, 2x2 product grid (3 buckets per axis) 74 against 85 ns,
+# 4x4 (6 per axis) 113 against 90 ns.
+SORT_MIN_BUCKETS = 4
+
+
+class Mesh:
+    """The Delaunay mesh of a grid in d >= 2: Qhull on the centred
+    points ``Pc = points - center``, so an offset costs no precision, and
+    ``span``, the diameter of the points' box.  A grid Qhull rejects
+    (flat, too few points) or thins (a point too close to another)
+    raises FlatGridError."""
+
+    def __init__(self, points):
+        P = np.asarray(points, dtype=float)
+        self.center = P.mean(axis=0)
+        Pc = self.Pc = P - self.center
+        try:
+            self.qhull = Delaunay(Pc, qhull_options=QHULL_OPTIONS)
+        except QhullError as exc:
+            reason = str(exc).strip().splitlines()[0]
+            raise FlatGridError(
+                f"grid points do not span R^{P.shape[1]} ({reason})") from exc
+        if len(self.qhull.coplanar):
+            raise FlatGridError(
+                "grid points too close to tell apart: Qhull left point "
+                f"{int(self.qhull.coplanar[0, 0])} out of the triangulation")
+        self.span = float(np.sqrt(np.sum(np.ptp(P, axis=0) ** 2)))
+        # about one bucket per simplex, m per axis, numbered in uint16
+        d, T = P.shape[1], len(self.qhull.simplices)
+        m = min(ceil(T ** (1 / d)), int(2 ** (16 / d)))
+        lo, hi = Pc.min(axis=0), Pc.max(axis=0)
+        self.buckets = (lo, hi, m / (hi - lo), m)
+
+    @cached_property
+    def spheres(self):
+        """Per simplex its circumcentre z (centred), squared radius r2,
+        and ``flat``, true where Qhull's transform is NaN and so are z
+        and r2; computed on first use."""
+        Pc, d = self.Pc, self.Pc.shape[1]
+        # z = r + y, r the last vertex: 2 (x_j - r).y = |x_j - r|^2
+        T, S = self.qhull.transform, self.qhull.simplices
+        y = 0.5 * np.einsum("tji,tj->ti", T[:, :d],
+                            np.sum((Pc[S[:, :d]] - T[:, d, None]) ** 2, axis=2))
+        r2 = np.sum(y * y, axis=1)
+        return T[:, d] + y, r2, ~np.isfinite(r2)
+
+    def find(self, Xc):
+        """Qhull's simplex per centred row, -1 outside.
+
+        Qhull's ``find_simplex`` walks from where the previous row's walk
+        ended, so a batch with more rows than the mesh has simplices is
+        handed over in snake order of about one bucket per simplex over
+        the points' box (a radix sort on a uint16 key; rows outside the
+        box count in its edge buckets) and the answers are scattered
+        back.  A row strictly inside a simplex gets that simplex from any
+        walk.  A row on a facet ends in one of the simplices holding it,
+        and which one hangs on the row walked before it, in any order.
+        Small batches and meshes with fewer than ``SORT_MIN_BUCKETS``
+        buckets per axis keep the given order, where sorting costs more
+        than it saves."""
+        lo, hi, scale, m = self.buckets
+        if m < SORT_MIN_BUCKETS or len(Xc) <= len(self.qhull.simplices):
+            return self.qhull.find_simplex(Xc)
+        cell = (np.clip(Xc, lo, hi) - lo) * scale
+        cell = np.fmin(cell, m - 1, out=cell).astype(np.uint16)  # NaN: m-1
+        key = cell[:, 0]
+        for a in range(1, Xc.shape[1]):  # odd prefixes run backwards
+            key = key * m + np.where(key & 1, m - 1 - cell[:, a], cell[:, a])
+        order = np.argsort(key, kind="stable")  # a radix sort on uint16
+        found = self.qhull.find_simplex(Xc[order])
+        s = np.empty_like(found)
+        s[order] = found
+        return s
 
 
 def orient2d(ax, ay, bx, by, cx, cy) -> float:
@@ -94,51 +174,30 @@ class Triangulation:
     ``neighbors[t][k]`` is the triangle across the edge opposite vertex
     k of triangle t, or -1 on the hull boundary.  The triangle list is
     sorted lexicographically, so indices are canonical for the input.
+    ``mesh`` is the Qhull mesh it came from, and ``starts`` holds per
+    Qhull simplex a canonical triangle to walk from.
     """
 
     points: np.ndarray
     triangles: list[tuple[int, int, int]]
     neighbors: list[tuple[int, int, int]]
-    _power: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    # the Qhull mesh of the centred points, per Qhull simplex a canonical
-    # triangle to walk from, and the centre
-    _qhull: tuple[Delaunay, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    mesh: Mesh = field(repr=False, compare=False)
+    starts: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def power_data(self):
-        """Per-triangle circumcenters and squared radii (cached)."""
-        if self._power is None:
-            P = self.points
-            tri = np.asarray(self.triangles)
-            a, b, c = P[tri[:, 0]], P[tri[:, 1]], P[tri[:, 2]]
-            d = 2.0 * (
-                a[:, 0] * (b[:, 1] - c[:, 1])
-                + b[:, 0] * (c[:, 1] - a[:, 1])
-                + c[:, 0] * (a[:, 1] - b[:, 1])
-            )
-            a2 = np.sum(a * a, axis=1)
-            b2 = np.sum(b * b, axis=1)
-            c2 = np.sum(c * c, axis=1)
-            zx = (a2 * (b[:, 1] - c[:, 1]) + b2 * (c[:, 1] - a[:, 1]) + c2 * (a[:, 1] - b[:, 1])) / d
-            zy = (a2 * (c[:, 0] - b[:, 0]) + b2 * (a[:, 0] - c[:, 0]) + c2 * (b[:, 0] - a[:, 0])) / d
-            z = np.column_stack([zx, zy])
-            r2 = np.sum((a - z) ** 2, axis=1)
-            self._power = (z, r2)
-        return self._power
-
-    def boundary_edges(self) -> list[tuple[int, int]]:
-        """Directed hull edges (interior on the left)."""
-        out = []
-        for t, (i, j, k) in enumerate(self.triangles):
-            verts = (i, j, k)
-            for e in range(3):
-                if self.neighbors[t][e] == -1:
-                    out.append((verts[(e + 1) % 3], verts[(e + 2) % 3]))
-        return out
+    @cached_property
+    def _walk(self):
+        """The walk's tables, built once: triangle and neighbour arrays,
+        the edge table, and twin[t, k], the flat edge of neighbour
+        nbrs[t, k] that faces t."""
+        tris, nbrs = np.asarray(self.triangles), np.asarray(self.neighbors)
+        own = np.arange(len(tris))[:, None, None]
+        back = np.argmax(nbrs[nbrs] == own, axis=2)
+        return (tris, nbrs, _edge_table(self.points, tris, self.mesh.span),
+                np.where(nbrs >= 0, 3 * nbrs + back, -1))
 
 
 def _canonical_triangles(P, tris):
@@ -171,28 +230,15 @@ def triangulate(grid) -> Triangulation:
         pts = grid.points
     else:
         pts = np.asarray(grid, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("triangulate expects an (n, 2) point array")
-    if pts.shape[0] < 3:
-        raise FlatGridError("need at least three points to triangulate")
-    # Qhull's roundoff bound grows with the largest coordinate: far from
-    # the origin it would merge points that the grid keeps apart
-    centre = pts.mean(axis=0)
-    try:
-        qhull = Delaunay(pts - centre, qhull_options=QHULL_OPTIONS)
-    except QhullError as exc:
-        reason = str(exc).strip().splitlines()[0]
-        raise FlatGridError(f"grid points do not span the plane ({reason})") from exc
-    if len(qhull.coplanar):
-        raise FlatGridError(
-            "grid points too close to tell apart: Qhull left point "
-            f"{int(qhull.coplanar[0, 0])} out of the triangulation")
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise ValueError("triangulate expects a non-empty (n, 2) point array")
+    mesh = Mesh(pts)
+    simplices = mesh.qhull.simplices
     tris, nbrs = _resolve_cocircular_diagonals(
-        pts, *_canonical_triangles(pts, qhull.simplices))
-    starts = _walk_starts(qhull.simplices, tris, len(pts))
+        pts, *_canonical_triangles(pts, simplices))
     return Triangulation(pts, list(map(tuple, tris.tolist())),
-                         list(map(tuple, nbrs.tolist())),
-                         _qhull=(qhull, starts, centre))
+                         list(map(tuple, nbrs.tolist())), mesh,
+                         _walk_starts(simplices, tris, len(pts)))
 
 
 def _walk_starts(simplices, tris, n):
@@ -267,12 +313,12 @@ def dq_solve_delaunay(grid: Grid, tri: Triangulation, xi, spec: NormSpec) -> Loc
     t = locate(tri, xi)
     if t is None:
         raise InfeasibleError("query point lies outside the convex hull of the grid")
-    tri_verts = tri.triangles[t]
-    basis = tuple(sorted(tri_verts))
-    P = tri.points  # the mesh's own coordinates, which its power data uses
+    basis = tuple(sorted(tri.triangles[t]))
+    P, mesh = tri.points, tri.mesh
     M = np.vstack([P[list(basis)].T, np.ones(3)])
     lam = np.linalg.solve(M, np.concatenate([xi, [1.0]]))
-    u1 = 2.0 * (tri.power_data()[0][t] - xi)
+    # the circumcentre on centred points: an offset costs no precision
+    u1 = 2.0 * (circumcenter(mesh.Pc[list(basis)])[0] - (xi - mesh.center))
     u2 = float(np.sum((xi - P[basis[0]]) ** 2) - P[basis[0]] @ u1)
     costs = np.sum((xi[None, :] - P[list(basis)]) ** 2, axis=1)
     value = float(lam @ costs)
@@ -289,31 +335,31 @@ def hull_mask(tri: Triangulation, X) -> np.ndarray:
 
 
 def batch_values(tri: Triangulation, X) -> np.ndarray:
-    """F^2 at each row of X by maximizing the triangle power functions.
+    """F^2 at each row of X by maximizing the power functions of the
+    mesh's circles on centred rows (a cocircular quad's two diagonals
+    share one circle, so Qhull's simplices serve as the triangles do).
 
     Only valid inside the hull; combine with hull_mask for exteriors.
     The maximum stays although the located triangle's power alone is
     F^2: on sliver triangles that one power loses up to about 5e-13 to
     cancellation, and it reads slightly negative at grid points.
     """
-    X = np.asarray(X, dtype=float)
-    z, r2 = tri.power_data()
-    vals = np.full(X.shape[0], -np.inf)
-    for t in range(len(tri.triangles)):
-        v = r2[t] - (X[:, 0] - z[t, 0]) ** 2 - (X[:, 1] - z[t, 1]) ** 2
-        np.maximum(vals, v, out=vals)
+    x, y = (np.asarray(X, dtype=float) - tri.mesh.center).T
+    z, r2, flat = tri.mesh.spheres
+    vals = np.full(x.shape, -np.inf)
+    for (zx, zy), r in zip(z[~flat].tolist(), r2[~flat].tolist()):
+        np.maximum(vals, r - (x - zx) ** 2 - (y - zy) ** 2, out=vals)
     return vals
 
 
-def _edge_table(P, tris):
+def _edge_table(P, tris, span):
     """Edge k of triangle t, opposite its vertex k and directed CCW, is
     the flat edge 3t + k; per flat edge: start point, vector, and the
-    containment slack, EDGE_TOL times the grid's diameter times the
-    edge's L1 length, so the test does not depend on units or origin."""
+    containment slack, EDGE_TOL times the grid's diameter ``span``
+    times the edge's L1 length, so it does not depend on units or origin."""
     a = P[tris[:, [1, 2, 0]]].reshape(-1, 2)
     e = P[tris[:, [2, 0, 1]]].reshape(-1, 2) - a
-    diameter = float(np.hypot(*np.ptp(P, axis=0)))
-    slack = EDGE_TOL * diameter * (np.abs(e[:, 0]) + np.abs(e[:, 1]))
+    slack = EDGE_TOL * span * (np.abs(e[:, 0]) + np.abs(e[:, 1]))
     return a[:, 0], a[:, 1], e[:, 0], e[:, 1], slack
 
 
@@ -325,17 +371,15 @@ def _edges_hold(table, X, edges) -> np.ndarray:
     return ex * (y - ay) - ey * (x - ax) >= -slack
 
 
-def _locate_rows(tri, mesh, X) -> np.ndarray:
+def _locate_rows(tri, X) -> np.ndarray:
     """The containing triangle of every row of X; -1 where the walk
     leaves the mesh through a boundary edge."""
-    tris, nbrs, table, twin = mesh
+    tris, nbrs, table, twin = tri._walk
     T = len(tris)
     own = 3 * np.arange(T)[:, None] + np.arange(3)
     t = np.zeros(len(X), dtype=np.intp)
-    if tri._qhull is not None:
-        qhull, starts, centre = tri._qhull
-        s = qhull.find_simplex(X - centre)
-        t[s >= 0] = starts[s[s >= 0]]
+    s = tri.mesh.find(X - tri.mesh.center)
+    t[s >= 0] = tri.starts[s[s >= 0]]
 
     # the walk, all rows at once: cross the first violated edge, testing
     # (i, j), (j, k), (k, i) in turn
@@ -384,16 +428,11 @@ def batch_solve(tri: Triangulation, X):
     on the other rows of X.
     """
     X = np.asarray(X, dtype=float)
-    P = tri.points
-    tris, nbrs = np.asarray(tri.triangles), np.asarray(tri.neighbors)
-    # twin[t, k]: the flat edge of neighbor nbrs[t, k] that faces t
-    back = np.argmax(nbrs[nbrs] == np.arange(len(tris))[:, None, None], axis=2)
-    mesh = (tris, nbrs, _edge_table(P, tris),
-            np.where(nbrs >= 0, 3 * nbrs + back, -1))
+    P, tris = tri.points, tri._walk[0]
     tidx = np.empty(X.shape[0], dtype=np.intp)
     # blocks of rows bound the walk's temporaries at a few megabytes
     for start in range(0, X.shape[0], 4096):
-        tidx[start:start + 4096] = _locate_rows(tri, mesh, X[start:start + 4096])
+        tidx[start:start + 4096] = _locate_rows(tri, X[start:start + 4096])
     rows = np.flatnonzero(tidx >= 0)
     a, b, c = (P[tris[tidx[rows], k]].T for k in range(3))
     x = X[rows].T

@@ -69,7 +69,8 @@ def render_grid_svg(grid: Grid, show_hull: bool = True,
     if tri is not None:
         hull = set()
         if show_hull:
-            hull = {(min(a, b), max(a, b)) for a, b in tri.boundary_edges()}
+            hull = {(min(a, b), max(a, b))
+                    for a, b in tri.mesh.qhull.convex_hull.tolist()}
         for a, b in _edge_set(tri):
             xa, ya = to_px(pts[a])
             xb, yb = to_px(pts[b])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
-from dualquant import batch
+from dualquant import batch, delaunay
 from dualquant.batch import BatchSolver, shard_reduce
 from dualquant.cubature import second_order_report, weights
 from dualquant.distributions import make_normal, make_uniform_box
@@ -448,7 +448,7 @@ def _location_rows(path, seed):
     """Rows in random order: uniform draws over the grid's box grown by
     a fifth on each side (some exterior), 40 grid points, and points
     halfway and a quarter along edges of 20 simplices."""
-    P, S, d = path.grid.points, path.qhull.simplices, path.grid.dim
+    P, S, d = path.grid.points, path.mesh.qhull.simplices, path.grid.dim
     lo, hi = P.min(axis=0), P.max(axis=0)
     rng = np.random.default_rng(seed)
     S = S[rng.permutation(len(S))[:20]]
@@ -464,7 +464,7 @@ def _location_rows(path, seed):
 def _batches(path, X):
     """Batches on both sides of the ordering rule: as many rows as the
     mesh has simplices (walked as given), one more, and all rows."""
-    T = len(path.qhull.simplices)
+    T = len(path.mesh.qhull.simplices)
     return [X[:T], X[:T + 1], X]
 
 
@@ -473,12 +473,12 @@ def _one_simplex(path, Xc):
     barycentric weight): every walk, ordered or not, ends there.  A row
     on a facet (a grid point, an edge) may end in any simplex holding
     it, and an unordered walk's choice depends on the row before it."""
-    s = path.qhull.find_simplex(Xc)
+    s = path.mesh.qhull.find_simplex(Xc)
     return (s < 0) | (_barycentric(path, Xc, s).min(axis=1) > 1e-9)
 
 
 def _barycentric(path, Xc, s):
-    T = path.qhull.transform[s]
+    T = path.mesh.qhull.transform[s]
     c = np.einsum("nij,nj->ni", T[:, :-1], Xc - T[:, -1])
     return np.column_stack([c, 1.0 - c.sum(axis=1)])
 
@@ -487,14 +487,14 @@ def _barycentric(path, Xc, s):
 def test_ordered_location_equals_find_simplex(grid, monkeypatch):
     path = batch._Simplicial(grid, extended=True)
     walked = []
-    find = path.qhull.find_simplex
-    monkeypatch.setattr(path.qhull, "find_simplex",
+    find = path.mesh.qhull.find_simplex
+    monkeypatch.setattr(path.mesh.qhull, "find_simplex",
                         lambda Y: walked.append(Y) or find(Y))
-    T, m = len(path.qhull.simplices), path.buckets[-1]
+    T, m = len(path.mesh.qhull.simplices), path.mesh.buckets[-1]
     for Xb in _batches(path, _location_rows(path, 0)):
-        Xc = Xb - path.center
-        got = path._find(Xc)
-        ordered = len(Xb) > T and m >= batch.SORT_MIN_BUCKETS
+        Xc = Xb - path.mesh.center
+        got = path.mesh.find(Xc)
+        ordered = len(Xb) > T and m >= delaunay.SORT_MIN_BUCKETS
         assert not np.array_equal(walked[-1], Xc) == ordered
         ref = find(Xc)
         assert np.array_equal(got < 0, ref < 0)
@@ -511,16 +511,16 @@ def test_ordered_location_changes_no_result(grid, monkeypatch):
     batches = _batches(path, _location_rows(path, 1))
     got = [(solver.values(X), solver.solve(X), solver.tied(X))
            for X in batches]
-    monkeypatch.setattr(batch, "SORT_MIN_BUCKETS", 2 ** 16)  # as given
+    monkeypatch.setattr(delaunay, "SORT_MIN_BUCKETS", 2 ** 16)  # as given
     for X, (vals, sol, tied) in zip(batches, got):
         for a, b in zip(vars(sol).values(), vars(solver.solve(X)).values()):
             assert np.array_equal(a, b)
-        one = _one_simplex(path, X - path.center)
+        one = _one_simplex(path, X - path.mesh.center)
         ref = solver.values(X)
         assert np.array_equal(vals[one], ref[one])
         # on a facet both simplices' closed forms hold, up to rounding
         np.testing.assert_allclose(vals, ref, rtol=0,
-                                   atol=1e-10 * path.span ** 2)
+                                   atol=1e-10 * path.mesh.span ** 2)
         assert np.array_equal(tied[one], solver.tied(X)[one])
 
 
@@ -535,7 +535,7 @@ def test_bucket_key_takes_non_finite_rows(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = path._locate(X)
-        monkeypatch.setattr(batch, "SORT_MIN_BUCKETS", 2 ** 16)
+        monkeypatch.setattr(delaunay, "SORT_MIN_BUCKETS", 2 ** 16)
         ref = path._locate(X)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b, equal_nan=True)
@@ -592,16 +592,16 @@ def test_one_mesh_per_grid_across_estimators(monkeypatch):
     # built
     counts = {"Delaunay": 0, "ConvexHull": 0}
 
-    def counting(name):
-        build = getattr(batch, name)
+    def counting(module, name):
+        build = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return build(*args, **kwargs)
         return wrapper
 
-    for name in counts:
-        monkeypatch.setattr(batch, name, counting(name))
+    for module, name in ((delaunay, "Delaunay"), (batch, "ConvexHull")):
+        monkeypatch.setattr(module, name, counting(module, name))
     grid = _cube_grid(2)
     mc_dq_error(grid, U3, S2, 32, RngStream(1), extended=True)
     weights(grid, U3, S2, 32, RngStream(2), extended=True)

@@ -1,10 +1,11 @@
 """Exactness contracts of the planar Delaunay layer.
 
-The mesh of a seeded grid is pinned by digest, location in a batch
-follows ``locate``'s tie rule and does not depend on the other rows,
-the mesh, the located triangles and the hull test do not depend on
-units or origin, the hull test agrees with LP feasibility, and
-degenerate input raises a typed error.
+The mesh and the drawing of a seeded grid are pinned by digest,
+location in a batch follows ``locate``'s tie rule and does not depend on
+the other rows, the mesh, the located triangles, the hull test, the
+values and the spatial duals do not depend on units or origin, the hull
+test agrees with LP feasibility, the walk's tables are built once per
+triangulation, and degenerate input raises a typed error.
 """
 
 import hashlib
@@ -15,10 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualquant.delaunay import batch_solve, hull_mask, locate, triangulate
+from dualquant import delaunay
+from dualquant.delaunay import (batch_solve, batch_values, dq_solve_delaunay,
+                                hull_mask, locate, triangulate)
 from dualquant.errors import FlatGridError
-from dualquant.geometry import Grid, in_convex_hull
+from dualquant.geometry import EUCLIDEAN_QUADRATIC, Grid, in_convex_hull
 from dualquant.metrics import product_grid
+from dualquant.svgplot import render_grid_svg
 
 
 def random_points(seed=64):
@@ -69,6 +73,30 @@ def test_mesh_digest_is_pinned(name):
     tri = triangulate(Grid(make()))
     assert tri.n_triangles == n_triangles
     assert mesh_digest(tri) == digest
+
+
+# digests of render_grid_svg's markup, with and without the hull outline
+SVG_GOLDEN = {
+    ("random64", True):
+        "62e7c7dd725705a6689efc6b1600eadb4a22ed6d96b394cbb2465ce5d11e7982",
+    ("random64", False):
+        "332ea4a566b9513946d9adac346f39aaac00c16fca7e1de4c332e945b912e527",
+    ("ring256", True):
+        "5181f9846275585dbd4f9b7646a92ef99808d6784efea8e4ce5425ae0fec7a17",
+    ("ring256", False):
+        "eacc337e5f4b277c5899c69c8979da4b9dcf3939c95dfc043a053fe57bed348a",
+    ("product4", True):
+        "5adca08e95d3e42ab0c3a5a334ac261e0a57d7b5cfbfb14fff92401b9d8d85dc",
+    ("product4", False):
+        "44e83f03b115a8058988f1cc69e5c271474af1fe96bd0f0386913a604e44b1af",
+}
+
+
+@pytest.mark.parametrize("name,show_hull", sorted(SVG_GOLDEN))
+def test_drawing_is_pinned(name, show_hull):
+    svg = render_grid_svg(Grid(GOLDEN[name][0]()), show_hull=show_hull)
+    assert (hashlib.sha256(svg.encode()).hexdigest()
+            == SVG_GOLDEN[name, show_hull])
 
 
 def grid_and_edge_points(tri):
@@ -179,6 +207,41 @@ def test_location_does_not_depend_on_units_or_origin(name, log_scale, shift):
     assert np.array_equal(hull_mask(moved, Xm), hull_mask(unit, X))
     assert ([locate(moved, x) for x in Xm[::16]]
             == [locate(unit, x) for x in X[::16]])
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+@pytest.mark.parametrize("scale,offset", [(1e3, 0.0), (1.0, 1e6),
+                                          (1e-3, 1e6)])
+def test_values_and_duals_do_not_depend_on_units_or_origin(name, scale,
+                                                          offset):
+    # F^2 scales as s^2 and the spatial dual 2(z - xi) as s; the probes
+    # keep away from every edge, so both meshes locate them alike
+    points, unit, X = unit_probes(name)
+    X = X[len(points):]
+    X = X[hull_mask(unit, X)]
+    grid = Grid(scale * points + offset)
+    moved, Xm = triangulate(grid), scale * X + offset
+    ref = batch_values(unit, X)
+    np.testing.assert_allclose(batch_values(moved, Xm), scale ** 2 * ref,
+                               rtol=0, atol=1e-4 * scale ** 2 * ref.max())
+    u = [dq_solve_delaunay(grid, moved, x, EUCLIDEAN_QUADRATIC).u_spatial
+         for x in Xm]
+    u_ref = [dq_solve_delaunay(Grid(points), unit, x,
+                               EUCLIDEAN_QUADRATIC).u_spatial for x in X]
+    diameter = np.linalg.norm(np.ptp(points, axis=0))
+    np.testing.assert_allclose(u, scale * np.array(u_ref), rtol=0,
+                               atol=1e-4 * scale * diameter)
+
+
+def test_walk_tables_are_built_once(monkeypatch):
+    tri = triangulate(Grid(random_points()))
+    calls = []
+    edge_table = delaunay._edge_table
+    monkeypatch.setattr(delaunay, "_edge_table",
+                        lambda *args: calls.append(args) or edge_table(*args))
+    X = random_points(3) * 1.2 - 0.1
+    assert np.array_equal(batch_solve(tri, X)[0], batch_solve(tri, X)[0])
+    assert len(calls) == 1
 
 
 def test_collinear_grid_raises_typed_error():

@@ -1,5 +1,6 @@
 """Import hygiene, in place of a linter: every name a package module
-imports is used in that module or exported through its ``__all__``."""
+imports is used in that module or exported through its ``__all__``, and
+only ``delaunay`` imports Qhull's Delaunay mesh builder."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,13 @@ def test_every_import_is_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = set(_imported(tree)) - used - _exported(tree)
     assert sorted(unused) == []
+
+
+def test_only_delaunay_builds_meshes():
+    # every grid's Delaunay mesh is built by delaunay.Mesh
+    importers = {
+        path.name for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.spatial"
+        and {"Delaunay", "QhullError"} & {alias.name for alias in node.names}}
+    assert importers == {"delaunay.py"}
