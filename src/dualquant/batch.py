@@ -155,10 +155,17 @@ class _PerRowLP:
         return tied
 
     def nearest(self, X):
-        dists = norm_value_batch(X[:, None, :] - self.grid.points[None],
-                                 self.spec)
-        j = np.argmin(dists, axis=1)
-        return j, dists[np.arange(len(X)), j]
+        P = self.grid.points
+        j = np.empty(len(X), dtype=np.intp)
+        dist = np.empty(len(X))
+        # blocks of rows bound the rows x points x d differences at 2^20
+        step = max(1, 2 ** 20 // P.size)
+        for start in range(0, len(X), step):
+            rows = slice(start, start + step)
+            dists = norm_value_batch(X[rows, None, :] - P[None], self.spec)
+            j[rows] = np.argmin(dists, axis=1)
+            dist[rows] = dists[np.arange(len(dists)), j[rows]]
+        return j, dist
 
 
 class _Segments(_PerRowLP):

@@ -21,6 +21,7 @@ from .distributions import DistributionSpec, parse_distribution
 from .errors import DualQuantError, GridFormatError
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec, load_grid, save_grid
 from .metrics import (
+    ErrorEstimate,
     exact_1d_dq_error,
     exact_1d_voronoi_error,
     mc_dq_error,
@@ -36,18 +37,13 @@ from .svgplot import write_figure
 __all__ = ["main"]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _json_default(obj):
+    """``json.dumps`` hook: numpy arrays and scalars, and paths."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, Path):
         return str(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _expand_config(argv: list[str]) -> list[str]:
@@ -57,68 +53,63 @@ def _expand_config(argv: list[str]) -> list[str]:
     the file (argparse keeps the last occurrence).
     """
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config" or tok.startswith("--config="):
-            if tok == "--config":
-                if i + 1 >= len(argv):
-                    raise ValueError("--config needs a file argument")
-                path = argv[i + 1]
-                i += 2
-            else:
-                path = tok.split("=", 1)[1]
-                i += 1
-            for line in Path(path).read_text().splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, val = line.partition("=")
-                if not sep:
-                    raise ValueError(f"config line is not key=value: {line!r}")
-                key = "--" + key.strip().replace("_", "-")
-                val = val.strip()
-                if val.lower() == "true":
-                    out.append(key)
-                elif val.lower() != "false":
-                    out.extend([key, val])
-        else:
+    tokens = iter(argv)
+    for tok in tokens:
+        flag, eq, path = tok.partition("=")
+        if flag != "--config":
             out.append(tok)
-            i += 1
+            continue
+        if not eq:
+            path = next(tokens, None)
+        if path is None:
+            raise ValueError("--config needs a file argument")
+        for line in Path(path).read_text().splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, val = line.partition("=")
+            if not sep:
+                raise ValueError(f"config line is not key=value: {line!r}")
+            key = "--" + key.strip().replace("_", "-")
+            val = val.strip()
+            if val.lower() == "true":
+                out.append(key)
+            elif val.lower() != "false":
+                out.extend([key, val])
     return out
 
 
-def _log_config(cmd: str, args: argparse.Namespace) -> dict:
-    cfg = {k: _jsonable(v) for k, v in sorted(vars(args).items())
-           if k not in ("func", "json")}
+def _log_config(cmd: str, args: argparse.Namespace) -> None:
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "json")}
     cfg["command"] = cmd
     print(f"config: {json.dumps(cfg, sort_keys=True)}", file=sys.stderr)
-    return cfg
 
 
 def _emit(payload: dict, human: list[str], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True,
+                         default=_json_default))
     else:
         for line in human:
             print(line)
 
 
 def _estimate_dict(est, spec: NormSpec, extended: bool) -> dict:
-    return {"value": est.value, "std_error": est.std_error,
-            "n_samples": est.n_samples, "p": spec.p, "norm": spec.kind,
-            "extended": extended}
+    """An ErrorEstimate, or an exact value: no sampling error, no samples."""
+    if isinstance(est, ErrorEstimate):
+        value, std, n = est.value, est.std_error, est.n_samples
+    else:
+        value, std, n = est, 0.0, 0
+    return {"value": value, "std_error": std, "n_samples": n, "p": spec.p,
+            "norm": spec.kind, "extended": extended}
 
 
 def _parse_points(text: str) -> tuple[tuple[float, ...], ...]:
-    pts = []
-    for part in text.split(";"):
-        part = part.strip()
-        if part:
-            pts.append(tuple(float(v) for v in part.split(",")))
+    pts = tuple(tuple(float(v) for v in part.split(","))
+                for part in text.split(";") if part.strip())
     if not pts:
         raise ValueError("no points given")
-    return tuple(pts)
+    return pts
 
 
 def cmd_train1d(args) -> tuple[dict, list[str]]:
@@ -193,31 +184,26 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
     grid, _ = load_grid(args.grid)
     dist = parse_distribution(args.dist)
     spec = NormSpec(args.norm, args.p)
+    vor = None
     if args.mode == "exact":
         if args.p != 2:
             raise ValueError("exact mode covers p=2 only; use --mode mc")
-        dual_val = exact_1d_dq_error(grid, dist, extended=args.extended)
-        dual = {"value": dual_val, "std_error": 0.0, "n_samples": 0,
-                "p": spec.p, "norm": spec.kind, "extended": args.extended}
-        vor_val = (exact_1d_voronoi_error(grid, dist)
-                   if args.compare_voronoi else None)
-        vor = None if vor_val is None else {
-            "value": vor_val, "std_error": 0.0, "n_samples": 0,
-            "p": spec.p, "norm": spec.kind, "extended": True}
+        dual = exact_1d_dq_error(grid, dist, extended=args.extended)
+        if args.compare_voronoi:
+            vor = exact_1d_voronoi_error(grid, dist)
     else:
         rng = RngStream(args.seed)
-        est = mc_dq_error(grid, dist, spec, args.samples, rng,
-                          extended=args.extended, threads=args.threads)
-        dual = _estimate_dict(est, spec, args.extended)
-        vor = None
+        dual = mc_dq_error(grid, dist, spec, args.samples, rng,
+                           extended=args.extended, threads=args.threads)
         if args.compare_voronoi:
-            vest = mc_voronoi_error(grid, dist, spec, args.samples, rng,
-                                    threads=args.threads)
-            vor = _estimate_dict(vest, spec, True)
+            vor = mc_voronoi_error(grid, dist, spec, args.samples, rng,
+                                   threads=args.threads)
+    dual = _estimate_dict(dual, spec, args.extended)
     payload = {"dual": dual}
     human = [f"dual error: {dual['value']:.10g} "
              f"(std {dual['std_error']:.2g})"]
     if vor is not None:
+        vor = _estimate_dict(vor, spec, True)
         payload["voronoi"] = vor
         payload["dual_ge_voronoi"] = bool(dual["value"] >= vor["value"])
         human.append(f"voronoi error: {vor['value']:.10g} "
@@ -227,60 +213,49 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
 
 
 def _make_integrand(text: str, lip_flag, grid: Grid, dist: DistributionSpec):
-    """F and the Lipschitz constant of F'.  F works along the last axis,
-    so it maps one point to a value and an (m, d) block to m values."""
+    """F and the Lipschitz constant of F': ``lip_flag`` if given, else
+    derived.  F works along the last axis, so it maps one point to a
+    value and an (m, d) block to m values."""
     d = grid.dim
+    poly = np.polynomial.polynomial
 
-    def support_sum_range():
+    def sum_range():
         lo, hi = dist.box(f"--f {text} without --lip")
         return float(lo.sum()), float(hi.sum())
 
+    def poly_lip(asc):
+        if len(asc) <= 2:
+            return 0.0  # affine in the coordinate sum
+        s = np.linspace(*sum_range(), 1025)
+        return float(d * np.abs(poly.polyval(s, poly.polyder(asc, 2))).max())
+
     if text == "quadratic":
         F = lambda X: np.vecdot(X, X)
-        lip = 2.0
+        derive = lambda: 2.0
     elif text == "cos":
         F = lambda X: np.cos(X.sum(axis=-1))
-        lip = float(d)  # Hessian is -cos(s) * ones outer ones
+        derive = lambda: float(d)  # Hessian is -cos(s) * ones outer ones
     elif text == "exp":
         F = lambda X: np.exp(X.sum(axis=-1))
-        if lip_flag is None:
-            _, shi = support_sum_range()
-            lip = float(d * np.exp(shi))
-        else:
-            lip = None
+        derive = lambda: float(d * np.exp(sum_range()[1]))
     elif text.startswith("custom-poly:"):
-        coeffs = [float(v) for v in text.split(":", 1)[1].split(",")]
-        asc = np.asarray(coeffs, dtype=float)
-
-        def F(X, asc=asc):
-            return np.polynomial.polynomial.polyval(X.sum(axis=-1), asc)
-
-        if lip_flag is None:
-            if len(asc) <= 2:
-                lip = 0.0  # affine in the coordinate sum
-            else:
-                slo, shi = support_sum_range()
-                der2 = np.polynomial.polynomial.polyder(asc, 2)
-                s = np.linspace(slo, shi, 1025)
-                lip = float(d * np.abs(
-                    np.polynomial.polynomial.polyval(s, der2)).max())
-        else:
-            lip = None
+        asc = np.asarray([float(v) for v in text.split(":", 1)[1].split(",")])
+        F = lambda X: poly.polyval(X.sum(axis=-1), asc)
+        derive = lambda: poly_lip(asc)
     else:
         raise ValueError(f"unknown integrand {text!r}; use quadratic, exp, "
                          "cos, or custom-poly:c0,c1,...")
     if lip_flag is not None:
-        lip = float(lip_flag)
-    return F, lip
+        return F, float(lip_flag)
+    return F, derive()
 
 
 def cmd_cubature(args) -> tuple[dict, list[str]]:
     grid, _ = load_grid(args.grid)
     dist = parse_distribution(args.dist)
-    spec = EUCLIDEAN_QUADRATIC
     F, lip = _make_integrand(args.f, args.lip, grid, dist)
-    table, rep = weights_and_report(grid, dist, spec, F, lip, args.samples,
-                                    RngStream(args.seed),
+    table, rep = weights_and_report(grid, dist, EUCLIDEAN_QUADRATIC, F, lip,
+                                    args.samples, RngStream(args.seed),
                                     extended=args.extended,
                                     threads=args.threads)
     payload = {
@@ -307,17 +282,12 @@ def cmd_cubature(args) -> tuple[dict, list[str]]:
 def cmd_rate_table(args) -> tuple[dict, list[str]]:
     dist = parse_distribution(args.dist)
     sizes = [int(v) for v in args.sizes.split(",") if v.strip()]
-    rows = []
-    errors = []
-    eff_sizes = []
+    rows = []  # (n, size, error); the size drives the rate
     if args.kind == "theoretical":
         lo, hi = dist.box("a theoretical ladder")
         for n in sizes:
-            grid = Grid(np.linspace(lo, hi, n))
-            err = exact_1d_dq_error(grid, dist)
-            rows.append((n, err))
-            errors.append(err)
-            eff_sizes.append(n - 1)  # (n-1)^-p scaling is exact
+            err = exact_1d_dq_error(Grid(np.linspace(lo, hi, n)), dist)
+            rows.append((n, n - 1, err))  # (n-1)^-p scaling is exact
     else:
         if dist.dim != 2:
             raise ValueError("product ladders are two-dimensional")
@@ -327,22 +297,18 @@ def cmd_rate_table(args) -> tuple[dict, list[str]]:
             est = mc_dq_error(grid, dist, EUCLIDEAN_QUADRATIC, args.samples,
                               RngStream(args.seed), extended=args.extended,
                               threads=args.threads)
-            rows.append((grid.n, est.value))
-            errors.append(est.value)
-            eff_sizes.append(m * m)  # m^d cells drive the rate
-    slope = rate_fit(eff_sizes, errors, p=2)
-    dim = dist.dim
-    lines = ["n,size,err_root,scaled"]
+            rows.append((grid.n, m * m, est.value))  # m^d cells
+    slope = rate_fit([r[1] for r in rows], [r[2] for r in rows], p=2)
+    human = ["n,size,err_root,scaled"]
     table_rows = []
-    for (n, err), size in zip(rows, eff_sizes):
+    for n, size, err in rows:
         root = err ** 0.5
-        scaled = n ** (1.0 / dim) * root
+        scaled = n ** (1.0 / dist.dim) * root
         table_rows.append({"n": n, "size": size, "err_root": root,
                            "scaled": scaled})
-        lines.append(f"{n},{size},{root:.12g},{scaled:.12g}")
-    csv_text = "\n".join(lines) + "\n"
+        human.append(f"{n},{size},{root:.12g},{scaled:.12g}")
+    csv_text = "\n".join(human) + "\n"
     payload = {"kind": args.kind, "rows": table_rows, "slope": slope}
-    human = list(lines)
     human.append(f"fitted slope: {slope:.4f}")
     if args.out:
         Path(args.out).write_text(csv_text)
@@ -475,11 +441,9 @@ def main(argv=None) -> int:
     _log_config(args.command, args)
     try:
         payload, human = args.func(args)
-    except (GridFormatError, FileNotFoundError, ValueError) as exc:
+    except (DualQuantError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DualQuantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        usage = (GridFormatError, FileNotFoundError, ValueError)
+        return 2 if isinstance(exc, usage) else 1
     _emit(payload, human, args.json)
     return 0

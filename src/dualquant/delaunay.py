@@ -6,10 +6,8 @@ its circumcenter, and the local error obeys
 
     F^2(xi) = r^2 - ||z - xi||^2
 
-on the containing simplex, while every empty-sphere simplex's power
-function lower-bounds F^2 anywhere in the hull.  The batch evaluator
-below maximizes that power over all simplices, which is the same dual
-certificate the LP produces, vectorized.
+on the containing simplex.  ``batch_values`` is ``BatchSolver``'s
+extended evaluator on a triangulation's points.
 
 ``Mesh`` builds every grid's Delaunay mesh, for ``batch`` in any d >= 2
 and for ``triangulate``: Qhull (``scipy.spatial.Delaunay``) on centred
@@ -35,7 +33,7 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import FlatGridError, InfeasibleError
-from .geometry import Grid, NormSpec, circumcenter
+from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec, circumcenter
 from .lp import LocalSolution
 
 # Relative scale factor for treating an in-circle determinant as zero.
@@ -335,21 +333,12 @@ def hull_mask(tri: Triangulation, X) -> np.ndarray:
 
 
 def batch_values(tri: Triangulation, X) -> np.ndarray:
-    """F^2 at each row of X by maximizing the power functions of the
-    mesh's circles on centred rows (a cocircular quad's two diagonals
-    share one circle, so Qhull's simplices serve as the triangles do).
+    """F^2 at each row of X by ``BatchSolver`` on the triangulated grid,
+    extended: a row outside the hull gets its nearest point's value."""
+    from .batch import BatchSolver  # batch imports this module
 
-    Only valid inside the hull; combine with hull_mask for exteriors.
-    The maximum stays although the located triangle's power alone is
-    F^2: on sliver triangles that one power loses up to about 5e-13 to
-    cancellation, and it reads slightly negative at grid points.
-    """
-    x, y = (np.asarray(X, dtype=float) - tri.mesh.center).T
-    z, r2, flat = tri.mesh.spheres
-    vals = np.full(x.shape, -np.inf)
-    for (zx, zy), r in zip(z[~flat].tolist(), r2[~flat].tolist()):
-        np.maximum(vals, r - (x - zx) ** 2 - (y - zy) ** 2, out=vals)
-    return vals
+    solver = BatchSolver(Grid(tri.points), EUCLIDEAN_QUADRATIC, extended=True)
+    return solver.values(np.asarray(X, dtype=float))
 
 
 def _edge_table(P, tris, span):

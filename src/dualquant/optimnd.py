@@ -129,8 +129,9 @@ def train(dist: DistributionSpec, n: int, config: TrainConfig) -> TrainReport:
     d = dist.dim
     if n < d + 1:
         raise ValueError("need at least d+1 points")
-    anchors = (np.asarray(config.anchors, dtype=float).reshape(-1, d)
-               if config.anchors else np.empty((0, d)))
+    if any(len(a) != d for a in config.anchors):
+        raise ValueError(f"every anchor needs d = {d} coordinates")
+    anchors = np.asarray(config.anchors, dtype=float).reshape(-1, d)
     if len(anchors) > n:
         raise ValueError("more anchors than grid points")
     rng = RngStream(config.seed)

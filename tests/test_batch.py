@@ -653,3 +653,23 @@ def test_threads_sharing_the_slot_get_serial_results():
     assert not errors
     assert len(results) == 8 * 6
     assert all(r == serial for r in results)
+
+
+def test_lp_path_nearest_is_blocked():
+    # 20 000 exterior rows on a 256-point grid: the whole
+    # rows x points x d difference array peaked near 195 MiB
+    rng = np.random.default_rng(17)
+    grid = Grid(rng.random((256, 2)))
+    X = 2.0 + 3.0 * rng.random((20_000, 2))
+    spec = NormSpec("l1", 2)
+    path = batch._PerRowLP(grid, spec, extended=True)
+    tracemalloc.start()
+    try:
+        j, dist = path.nearest(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert list(j) == [nn_project(grid, x, spec) for x in X]
+    np.testing.assert_array_equal(
+        dist, np.abs(X - grid.points[j]).sum(axis=1) ** 2)

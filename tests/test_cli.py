@@ -328,3 +328,102 @@ def test_effective_config_logged(tmp_path, capsys):
     assert cfg["command"] == "eval"
     assert cfg["seed"] == 3
     assert cfg["samples"] == 5000
+
+
+def test_config_equals_form(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=4\n")
+    code, doc, _ = run_json(capsys, "train1d", "--dist", "uniform:0,1",
+                            f"--config={cfg}")
+    assert code == 0
+    assert len(doc["points"]) == 4
+
+
+def test_config_without_file_is_usage_error(capsys):
+    code, _, err = run(capsys, "train1d", "--dist", "uniform:0,1", "--n",
+                       "3", "--config")
+    assert code == 2
+    assert "--config needs a file argument" in err
+
+
+def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=3\njust words\n")
+    code, _, err = run(capsys, "train1d", "--dist", "uniform:0,1",
+                       "--config", str(cfg))
+    assert code == 2
+    assert "not key=value" in err
+
+
+def test_config_booleans_and_comments(tmp_path, capsys):
+    gp = tmp_path / "g.json"
+    save_grid(Grid([0.0, 0.5, 1.0]), gp)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# exact errors\n\ngrid = {gp}\ndist=uniform:0,1\n"
+                   "mode=exact\nextended = TRUE\ncompare_voronoi=false\n"
+                   "# compare_voronoi=true\n")
+    code, doc, err = run_json(capsys, "eval", "--config", str(cfg))
+    assert code == 0
+    assert doc["dual"]["extended"] is True
+    assert "voronoi" not in doc
+    line = next(l for l in err.splitlines() if l.startswith("config: "))
+    logged = json.loads(line[len("config: "):])
+    assert logged["extended"] is True
+    assert logged["compare_voronoi"] is False
+
+
+@pytest.mark.parametrize("f, dist, lip", [
+    ("quadratic", "uniform2d", 2.0),
+    ("cos", "uniform2d", 2.0),
+    ("exp", "uniform2d", 2.0 * np.exp(2.0)),
+    ("custom-poly:1,2", "uniform2d", 0.0),
+    ("custom-poly:1,2", "normal2d", 0.0),  # affine: no support needed
+    ("custom-poly:1,2,3", "uniform2d", 12.0),
+])
+def test_cubature_derived_and_flagged_lipschitz(tmp_path, capsys, f, dist,
+                                                lip):
+    gp = tmp_path / "g.json"
+    save_grid(product_grid((np.zeros(2), np.ones(2)), 3), gp)
+    argv = ("cubature", "--grid", str(gp), "--dist", dist, "--f", f,
+            "--samples", "2000", "--extended")
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["f_prime_lipschitz"] == pytest.approx(lip, rel=1e-12)
+    code, doc, _ = run_json(capsys, *argv, "--lip", "5")
+    assert code == 0
+    assert doc["f_prime_lipschitz"] == 5.0
+
+
+def test_cubature_lip_flag_skips_the_support_box(tmp_path, capsys):
+    gp = tmp_path / "g.json"
+    save_grid(product_grid((np.zeros(2), np.ones(2)), 3), gp)
+    argv = ("cubature", "--grid", str(gp), "--dist", "normal2d", "--f",
+            "exp", "--samples", "2000", "--extended")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "without --lip" in err
+    code, doc, _ = run_json(capsys, *argv, "--lip", "5")
+    assert code == 0
+    assert doc["f_prime_lipschitz"] == 5.0
+
+
+def test_eval_exact_records_have_no_sampling(tmp_path, capsys):
+    gp = tmp_path / "g.json"
+    save_grid(Grid([0.0, 0.3, 1.0]), gp)
+    code, doc, _ = run_json(capsys, "eval", "--grid", str(gp), "--dist",
+                            "normal:0,1", "--mode", "exact", "--extended",
+                            "--compare-voronoi")
+    assert code == 0
+    for key, extended in (("dual", True), ("voronoi", True)):
+        rec = doc[key]
+        assert (rec["std_error"], rec["n_samples"]) == (0.0, 0)
+        assert rec["extended"] is extended
+        assert (rec["p"], rec["norm"]) == (2.0, "l2")
+
+
+@pytest.mark.parametrize("pin", ["0,0,0;1,1,1", "0,0;1"])
+def test_trainnd_pins_of_the_wrong_dimension_are_usage_errors(capsys, pin):
+    code, _, err = run(capsys, "trainnd", "--dist", "uniform2d", "--pin",
+                       pin, "--n", "8", "--steps", "50", "--samples", "500")
+    assert code == 2
+    assert "every anchor needs d = 2 coordinates" in err

@@ -171,6 +171,13 @@ def test_train_input_validation():
         train(U2, 3, TrainConfig(steps=1, anchors=CORNERS))
 
 
+@pytest.mark.parametrize("anchors", [((0, 0, 0), (1, 1, 1)),
+                                     ((0, 0), (1,))])
+def test_train_rejects_anchors_of_the_wrong_dimension(anchors):
+    with pytest.raises(ValueError, match="d = 2"):
+        train(U2, 8, TrainConfig(steps=1, anchors=anchors))
+
+
 @pytest.mark.parametrize("lo, hi", [([0.0, 0.0], [1e-9, 1e-9]),
                                     ([1e9, 1e9], [1e9 + 1.0, 1e9 + 1.0])])
 def test_initial_grid_does_not_depend_on_units(lo, hi):
