@@ -54,7 +54,7 @@ from .delaunay import Mesh
 from .errors import FlatGridError, InfeasibleError, SampleOutsideHullError
 from .geometry import (EUCLIDEAN_QUADRATIC, Grid, NormSpec,
                        _affinely_independent, norm_value_batch)
-from .lp import TIE_BUDGET, TOL, is_nondegenerate, local_dq_solve
+from .lp import TIE_BUDGET, TOL, _solve
 
 # The simplicial path leaves to the LP (whose tolerances are 1e-9) a row
 # with a barycentric weight below FACET_TOL or outside the hull by less
@@ -87,12 +87,16 @@ class BatchSolution:
     index, weights are (1, 0, ..., 0) and u1 is zero.  ``nearest`` holds
     that index for exterior rows and -1 for interior ones; exact distance
     ties take the smallest index, as ``splitting.nn_project`` does.
+    ``tied`` flags the rows whose LP solution is not strictly
+    complementary: more than one optimal simplex, or a zero weight.
+    Exterior rows are untied.
     """
 
     basis: np.ndarray
     weights: np.ndarray
     u1: np.ndarray
     nearest: np.ndarray
+    tied: np.ndarray
 
 
 def _segment_values(xs: np.ndarray, x: np.ndarray, p: float) -> np.ndarray:
@@ -119,21 +123,21 @@ class _PerRowLP:
         self.grid, self.spec, self.extended = grid, spec, extended
 
     def _solutions(self, X):
-        sols = [None] * len(X)
+        sols, tied = [None] * len(X), np.zeros(len(X), dtype=bool)
         for i, x in enumerate(X):
             try:
-                sols[i] = local_dq_solve(self.grid, x, self.spec)
+                sols[i], tied[i] = _solve(self.grid, x, self.spec)
             except InfeasibleError:
                 if not self.extended:
                     break  # the rows left unsolved count as exterior
-        return np.array([s is not None for s in sols], dtype=bool), sols
+        return np.array([s is not None for s in sols], dtype=bool), sols, tied
 
     def values(self, X):
-        inside, sols = self._solutions(X)
+        inside, sols, _ = self._solutions(X)
         return inside, np.array([0.0 if s is None else s.value for s in sols])
 
     def solve(self, X):
-        inside, sols = self._solutions(X)
+        inside, sols, tied = self._solutions(X)
         N, d = X.shape
         basis = np.zeros((N, d + 1), dtype=np.intp)
         weights = np.zeros((N, d + 1))
@@ -141,18 +145,7 @@ class _PerRowLP:
         for i, s in enumerate(sols):
             if s is not None:
                 basis[i], weights[i], u1[i] = s.basis, s.weights, s.u_spatial
-        return inside, basis, weights, u1
-
-    def tied(self, X):
-        """Rows whose LP solution is not strictly complementary; rows
-        outside the hull are untied."""
-        tied = np.zeros(len(X), dtype=bool)
-        for i, x in enumerate(X):
-            try:
-                tied[i] = not is_nondegenerate(self.grid, x, self.spec)
-            except InfeasibleError:
-                pass
-        return tied
+        return inside, basis, weights, u1, tied
 
     def nearest(self, X):
         P = self.grid.points
@@ -206,6 +199,7 @@ class _Segments(_PerRowLP):
         basis = np.zeros((len(X), 2), dtype=np.intp)
         weights = np.zeros((len(X), 2))
         u1 = np.zeros((len(X), 1))
+        tied = np.zeros(len(X), dtype=bool)  # a bracketing pair is unique
         pair = np.column_stack([self.order[j - 1], self.order[j]])
         w = np.column_stack([right / gap, left / gap])
         swap = pair[:, 0] > pair[:, 1]  # list the pair by grid index
@@ -215,8 +209,9 @@ class _Segments(_PerRowLP):
         u1[inside, 0] = (right ** self.p - left ** self.p) / gap
         lp[inside] = (left == 0) | (right == 0)  # at a grid point
         if lp.any():
-            inside[lp], basis[lp], weights[lp], u1[lp] = super().solve(X[lp])
-        return inside, basis, weights, u1
+            (inside[lp], basis[lp], weights[lp], u1[lp],
+             tied[lp]) = super().solve(X[lp])
+        return inside, basis, weights, u1, tied
 
     def nearest(self, X):
         end = np.where(X[:, 0] < self.xs[0], 0, -1)
@@ -349,8 +344,9 @@ class _Simplicial(_PerRowLP):
             basis[tie], w[tie] = self._first_holding(t[tie], Xu[tie])
             lp |= tie & ~(_row_min(w) >= FACET_TOL)
         if lp.any():
-            inside[lp], basis[lp], w[lp], u1[lp] = super().solve(X[lp])
-        return inside, basis, w, u1
+            (inside[lp], basis[lp], w[lp], u1[lp],
+             tie[lp]) = super().solve(X[lp])
+        return inside, basis, w, u1, tie
 
     def nearest(self, X):
         Xc = X - self.mesh.center
@@ -364,11 +360,6 @@ class _Simplicial(_PerRowLP):
         if tie.any():
             j[tie], d2[tie] = super().nearest(X[tie])
         return j, d2
-
-    def tied(self, X):
-        """Rows located in a tied simplex."""
-        s = self.mesh.find(X - self.mesh.center)
-        return (s >= 0) & self.tied_simplex[s]
 
 
 def _pick(grid: Grid, spec: NormSpec, extended: bool):
@@ -410,13 +401,6 @@ class BatchSolver:
         """The path serving rows: "segments", "simplicial" or "lp"."""
         return self._path.name
 
-    def tied(self, X: np.ndarray) -> np.ndarray:
-        """Rows where more than one simplex is optimal: on ``simplicial``,
-        rows in a Delaunay simplex with another grid point on its
-        circumsphere; elsewhere, rows whose LP solution is not strictly
-        complementary.  Rows outside the hull are untied."""
-        return self._path.tied(X)
-
     def _exterior(self, X: np.ndarray, inside: np.ndarray):
         if not self.extended:
             raise SampleOutsideHullError(
@@ -433,14 +417,15 @@ class BatchSolver:
 
     def solve(self, X: np.ndarray) -> BatchSolution:
         """Optimal simplex, weights and spatial dual at each row of X."""
-        inside, basis, weights, u1 = self._path.solve(X)
+        inside, basis, weights, u1, tied = self._path.solve(X)
         nearest = np.full(len(X), -1, dtype=np.intp)
         if not np.all(inside):
             j, _ = self._exterior(X, inside)
             out = ~inside
             nearest[out], basis[out], u1[out] = j, j[:, None], 0.0
+            tied[out] = False
             weights[out] = np.eye(1, weights.shape[1])
-        return BatchSolution(basis, weights, u1, nearest)
+        return BatchSolution(basis, weights, u1, nearest, tied)
 
 
 def shard_reduce(n: int, chunk: int, threads: int, fn):

@@ -61,7 +61,7 @@ def _expand_config(argv: list[str]) -> list[str]:
             continue
         if not eq:
             path = next(tokens, None)
-        if path is None:
+        if not path:  # a bare trailing --config, or --config=
             raise ValueError("--config needs a file argument")
         for line in Path(path).read_text().splitlines():
             line = line.strip()

@@ -7,7 +7,7 @@ its circumcenter, and the local error obeys
     F^2(xi) = r^2 - ||z - xi||^2
 
 on the containing simplex.  ``batch_values`` is ``BatchSolver``'s
-extended evaluator on a triangulation's points.
+extended evaluator on a triangulation's grid.
 
 ``Mesh`` builds every grid's Delaunay mesh, for ``batch`` in any d >= 2
 and for ``triangulate``: Qhull (``scipy.spatial.Delaunay``) on centred
@@ -172,13 +172,15 @@ class Triangulation:
     ``neighbors[t][k]`` is the triangle across the edge opposite vertex
     k of triangle t, or -1 on the hull boundary.  The triangle list is
     sorted lexicographically, so indices are canonical for the input.
-    ``mesh`` is the Qhull mesh it came from, and ``starts`` holds per
-    Qhull simplex a canonical triangle to walk from.
+    ``grid`` is the grid it triangulates, ``mesh`` the Qhull mesh it
+    came from, and ``starts`` holds per Qhull simplex a canonical
+    triangle to walk from.
     """
 
     points: np.ndarray
     triangles: list[tuple[int, int, int]]
     neighbors: list[tuple[int, int, int]]
+    grid: Grid = field(repr=False, compare=False)
     mesh: Mesh = field(repr=False, compare=False)
     starts: np.ndarray = field(repr=False, compare=False)
 
@@ -222,20 +224,17 @@ def _canonical_triangles(P, tris):
     return tris, neighbors
 
 
-def triangulate(grid) -> Triangulation:
+def triangulate(grid: Grid) -> Triangulation:
     """Delaunay triangulation of a 2D grid (Qhull, then canonical ties)."""
-    if isinstance(grid, Grid):
-        pts = grid.points
-    else:
-        pts = np.asarray(grid, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise ValueError("triangulate expects a non-empty (n, 2) point array")
+    if grid.dim != 2:
+        raise ValueError("triangulate expects a two-dimensional grid")
+    pts = grid.points
     mesh = Mesh(pts)
     simplices = mesh.qhull.simplices
     tris, nbrs = _resolve_cocircular_diagonals(
         pts, *_canonical_triangles(pts, simplices))
     return Triangulation(pts, list(map(tuple, tris.tolist())),
-                         list(map(tuple, nbrs.tolist())), mesh,
+                         list(map(tuple, nbrs.tolist())), grid, mesh,
                          _walk_starts(simplices, tris, len(pts)))
 
 
@@ -337,7 +336,7 @@ def batch_values(tri: Triangulation, X) -> np.ndarray:
     extended: a row outside the hull gets its nearest point's value."""
     from .batch import BatchSolver  # batch imports this module
 
-    solver = BatchSolver(Grid(tri.points), EUCLIDEAN_QUADRATIC, extended=True)
+    solver = BatchSolver(tri.grid, EUCLIDEAN_QUADRATIC, extended=True)
     return solver.values(np.asarray(X, dtype=float))
 
 

@@ -86,7 +86,7 @@ def _costs(grid: Grid, xi: np.ndarray, spec: NormSpec) -> np.ndarray:
 
 
 def _canonical_basis(A, b, c, res, tol_s, tol_w):
-    """Deterministic optimal basis selection.
+    """Deterministic optimal basis selection, and whether it was tied.
 
     Ties (query on a region boundary, cocircular configurations, vertex
     hits) are resolved toward the lexicographically smallest basis: the
@@ -99,7 +99,7 @@ def _canonical_basis(A, b, c, res, tol_s, tol_w):
     s = c - A.T @ res.y
     tight = np.flatnonzero(s <= tol_s)
     if len(support) == m and len(tight) == m and set(tight) == set(basis):
-        return basis  # strict complementarity: the basis is unique
+        return basis, False  # strict complementarity: the basis is unique
     cand_a = None
     if len(tight) >= m and comb(len(tight), m) <= TIE_BUDGET:
         for cand in combinations(tight.tolist(), m):
@@ -125,11 +125,12 @@ def _canonical_basis(A, b, c, res, tol_s, tol_w):
     options = [tuple(cand) for cand in (cand_a, cand_b) if cand is not None]
     if not options:
         raise FlatGridError("could not complete an affine basis")
-    return list(min(options))
+    return list(min(options)), True
 
 
-def local_dq_solve(grid: Grid, xi, spec: NormSpec) -> LocalSolution:
-    """Solve the local LP at xi; raises InfeasibleError outside the hull."""
+def _solve(grid: Grid, xi, spec: NormSpec) -> tuple[LocalSolution, bool]:
+    """``local_dq_solve``, and whether its LP solution is tied: not
+    strictly complementary (a zero weight, or another tight column)."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (grid.dim,):
         raise ValueError(f"query point must have shape ({grid.dim},)")
@@ -138,14 +139,20 @@ def local_dq_solve(grid: Grid, xi, spec: NormSpec) -> LocalSolution:
     res = _simplex.solve_standard_form(A, b, c_unit, TOL)
     if res.status == "infeasible":
         raise InfeasibleError("query point lies outside the convex hull of the grid")
-    basis = _canonical_basis(A, b, c_unit, res, TOL, TOL)
+    basis, tied = _canonical_basis(A, b, c_unit, res, TOL, TOL)
     # weights, dual and value in the caller's units
     cols = extended_matrix(grid.points[basis])
     b = np.concatenate([xi, [1.0]])
     weights = np.linalg.solve(cols, b)
     u = np.linalg.solve(cols.T, c[basis])
     value = float(c[basis] @ weights)
-    return LocalSolution(xi, tuple(int(i) for i in basis), weights, u, value)
+    return LocalSolution(xi, tuple(int(i) for i in basis), weights, u,
+                         value), tied
+
+
+def local_dq_solve(grid: Grid, xi, spec: NormSpec) -> LocalSolution:
+    """Solve the local LP at xi; raises InfeasibleError outside the hull."""
+    return _solve(grid, xi, spec)[0]
 
 
 def local_dq_value(grid: Grid, xi, spec: NormSpec) -> float:

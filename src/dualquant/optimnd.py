@@ -29,8 +29,6 @@ from .metrics import DEFAULT_CHUNK, mc_dq_error
 from .rng import RngStream
 from .splitting import nn_project
 
-_PROBE_STREAM = 0x7FFFFFFF  # substream reserved for degeneracy probes
-_PROBES = 64  # samples in the degeneracy probe
 _GRADIENT_ROWS = 4096  # rows per solve in a gradient shard: bounds memory
 _RETRIANGULATE_EVERY = 64  # training samples solved on one mesh
 
@@ -78,17 +76,15 @@ class TrainReport:
     outside_fraction: float
 
 
-def cvlq_step(grid: Grid, xi, alpha: float,
-              spec: NormSpec = EUCLIDEAN_QUADRATIC) -> Grid:
-    """One competitive-learning update from a single sample, by the LP.
+def cvlq_step(grid: Grid, xi, alpha: float) -> Grid:
+    """One competitive-learning update from a single sample, by the LP
+    (Euclidean norm, p = 2).
 
     Basis vertices move toward z* = xi + u1/2 by alpha times their
     weight; outside the hull the nearest neighbour moves toward the
     sample.  Pinned points never move.  On a tie the LP's
     lexicographically smallest basis moves.
     """
-    if not spec.is_euclidean_quadratic:
-        raise ValueError("the update needs the Euclidean norm with p = 2")
     xi = np.asarray(xi, dtype=float).reshape(-1)
     pts = grid.points.copy()
     try:
@@ -202,17 +198,6 @@ def _train_blocks(pts, pinned, dist, cfg, sample_stream, record):
     return coords, outside
 
 
-def _degeneracy_probe(dist: DistributionSpec, rng: RngStream,
-                      solver: BatchSolver) -> None:
-    X = np.asarray(dist.sampler(rng.substream(_PROBE_STREAM), _PROBES), float)
-    fails = int(np.count_nonzero(solver.tied(X)))
-    if fails > 0.01 * _PROBES:
-        warnings.warn(
-            f"{fails}/{_PROBES} probe samples hit degenerate queries; "
-            "the pathwise gradient may be biased for this grid",
-            RuntimeWarning, stacklevel=3)
-
-
 def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
                 n_samples: int, rng: RngStream, return_std: bool = False,
                 chunk: int = DEFAULT_CHUNK):
@@ -223,7 +208,9 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
     case.  An exterior sample's basis is its nearest neighbour alone
     (lam = 1, u1 = 0), so the same formula pulls that point toward it.
     Shards reduce in index order and draw from numbered substreams, so
-    the estimate never consumes the parent stream.
+    the estimate never consumes the parent stream.  A RuntimeWarning
+    flags more than 1% of samples tied (``BatchSolution.tied``), where
+    the pathwise gradient may be biased.
     """
     if spec.kind != "l2" or spec.p < 2:
         raise NonDifferentiableError(
@@ -234,7 +221,6 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
         raise ValueError("distribution and grid dimensions differ")
     n, d, p = grid.n, grid.dim, spec.p
     solver = BatchSolver(grid, spec, extended=True)
-    _degeneracy_probe(dist, rng, solver)
 
     def shard(k: int, m: int) -> tuple:
         X = np.asarray(dist.sampler(rng.substream(k), m), float)
@@ -243,9 +229,11 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
         # block-by-block scatter, and reads its weights without a copy
         idx = np.empty(m * (d + 1), dtype=np.intp)
         vec = np.empty((d, m * (d + 1)))
+        tied = 0
         for s in range(0, m, _GRADIENT_ROWS):
             Xb = X[s:s + _GRADIENT_ROWS]
             sol = solver.solve(Xb)
+            tied += int(np.count_nonzero(sol.tied))
             diff = grid.points[sol.basis] - Xb[:, None, :]
             if p == 2:  # p r^0 diff, bit for bit
                 pull = 2.0 * diff
@@ -257,10 +245,15 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
             idx[rows] = sol.basis.ravel()
             vec[:, rows] = block.reshape(-1, d).T
         if not return_std:
-            return (_scatter_sum(idx, vec, n),)
-        return _scatter_sum(idx, vec, n), _scatter_sum(idx, vec ** 2, n)
+            return tied, _scatter_sum(idx, vec, n)
+        return tied, _scatter_sum(idx, vec, n), _scatter_sum(idx, vec ** 2, n)
 
-    gsum, *gsq = shard_reduce(n_samples, chunk, 1, shard)
+    tied, gsum, *gsq = shard_reduce(n_samples, chunk, 1, shard)
+    if tied > 0.01 * n_samples:
+        warnings.warn(
+            f"{tied}/{n_samples} gradient samples hit degenerate queries; "
+            "the pathwise gradient may be biased for this grid",
+            RuntimeWarning, stacklevel=2)
     grad = gsum / n_samples
     if return_std:
         var = np.maximum(gsq[0] - n_samples * grad ** 2, 0.0) / (n_samples - 1)
@@ -269,9 +262,9 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
 
 
 def refine(grid: Grid, dist: DistributionSpec, iters: int = 5,
-           mc_samples: int = 50_000, rng: RngStream | None = None,
-           spec: NormSpec = EUCLIDEAN_QUADRATIC) -> Grid:
-    """Descend a fixed-seed MC estimate of the extended error power.
+           mc_samples: int = 50_000, rng: RngStream | None = None) -> Grid:
+    """Descend a fixed-seed MC estimate of the extended error power
+    (Euclidean norm, p = 2).
 
     Steps backtrack until the common-random-number estimate strictly
     decreases, so the result never scores worse than the input on that
@@ -287,13 +280,14 @@ def refine(grid: Grid, dist: DistributionSpec, iters: int = 5,
     obj_rng = rng.substream(0)
 
     def objective(g: Grid) -> float:
-        return mc_dq_error(g, dist, spec, mc_samples, obj_rng,
+        return mc_dq_error(g, dist, EUCLIDEAN_QUADRATIC, mc_samples, obj_rng,
                            extended=True).value
 
     current = objective(grid)
     span = float(np.max(np.ptp(grid.points, axis=0))) or 1.0
     for it in range(iters):
-        g = mc_gradient(grid, dist, spec, mc_samples, rng.substream(10 + it))
+        g = mc_gradient(grid, dist, EUCLIDEAN_QUADRATIC, mc_samples,
+                        rng.substream(10 + it))
         g[~free] = 0.0
         gmax = float(np.max(np.abs(g)))
         if gmax == 0.0:

@@ -21,7 +21,7 @@ from dualquant.geometry import EUCLIDEAN_QUADRATIC as S2
 from dualquant.geometry import Grid, NormSpec
 from dualquant.lp import enumerate_bases_oracle, is_nondegenerate, local_dq_solve
 from dualquant.metrics import mc_dq_error
-from dualquant.optimnd import _PROBE_STREAM, mc_gradient
+from dualquant.optimnd import mc_gradient
 from dualquant.rng import RngStream
 from dualquant.splitting import nn_project, pick
 
@@ -350,10 +350,11 @@ def _lp_degenerate(grid, X, spec):
                                                  "lp-l1-p1"])
 def test_tied_rows_equal_lp_probe_failures(grid, dist, spec):
     for seed in (1, 2):
-        X = np.asarray(dist.sampler(RngStream(seed).substream(_PROBE_STREAM),
+        X = np.asarray(dist.sampler(RngStream(seed).substream(0x7FFFFFFF),
                                     64), float)
         solver = BatchSolver(grid, spec, extended=True)
-        assert np.array_equal(solver.tied(X), _lp_degenerate(grid, X, spec))
+        assert np.array_equal(solver.solve(X).tied,
+                              _lp_degenerate(grid, X, spec))
 
 
 def _random_rows(rng, P, m):
@@ -509,10 +510,9 @@ def test_ordered_location_changes_no_result(grid, monkeypatch):
     solver = BatchSolver(grid, S2, extended=True)
     path = solver._path
     batches = _batches(path, _location_rows(path, 1))
-    got = [(solver.values(X), solver.solve(X), solver.tied(X))
-           for X in batches]
+    got = [(solver.values(X), solver.solve(X)) for X in batches]
     monkeypatch.setattr(delaunay, "SORT_MIN_BUCKETS", 2 ** 16)  # as given
-    for X, (vals, sol, tied) in zip(batches, got):
+    for X, (vals, sol) in zip(batches, got):
         for a, b in zip(vars(sol).values(), vars(solver.solve(X)).values()):
             assert np.array_equal(a, b)
         one = _one_simplex(path, X - path.mesh.center)
@@ -521,7 +521,6 @@ def test_ordered_location_changes_no_result(grid, monkeypatch):
         # on a facet both simplices' closed forms hold, up to rounding
         np.testing.assert_allclose(vals, ref, rtol=0,
                                    atol=1e-10 * path.mesh.span ** 2)
-        assert np.array_equal(tied[one], solver.tied(X)[one])
 
 
 def test_bucket_key_takes_non_finite_rows(monkeypatch):
@@ -559,7 +558,7 @@ def _estimates(grid_for, dist, spec, n):
     return out
 
 
-@pytest.mark.filterwarnings("ignore:.*probe samples hit degenerate")
+@pytest.mark.filterwarnings("ignore:.*samples hit degenerate")
 @pytest.mark.parametrize("grid,dist,spec,n", [
     pytest.param(Grid([0.0, 0.2, 0.5, 0.9, 1.0]), U1, S2, 2000, id="1d"),
     pytest.param(_random_grid(12, 3), U2, S2, 2000, id="random2d"),
@@ -608,6 +607,22 @@ def test_one_mesh_per_grid_across_estimators(monkeypatch):
     second_order_report(grid, U3, S2, lambda x: float(np.cos(x.sum())), 3.0,
                         32, RngStream(2), extended=True)
     assert counts == {"Delaunay": 1, "ConvexHull": 0}
+
+
+def test_batch_values_shares_the_callers_mesh(monkeypatch):
+    # triangulate's mesh is its own; batch_values and the estimators
+    # share BatchSolver's one mesh of the caller's grid
+    builds, build = [], delaunay.Delaunay
+    monkeypatch.setattr(delaunay, "Delaunay",
+                        lambda *a, **kw: builds.append(1) or build(*a, **kw))
+    grid = _random_grid(64, 7)
+    X = np.random.default_rng(8).uniform(size=(200, 2))
+    tri = delaunay.triangulate(grid)
+    first = delaunay.batch_values(tri, X)
+    assert np.array_equal(delaunay.batch_values(tri, X), first)
+    mc_dq_error(grid, U2, S2, 256, RngStream(1), extended=True)
+    assert np.array_equal(delaunay.batch_values(tri, X), first)
+    assert len(builds) == 2
 
 
 def test_dropped_grid_is_freed():

@@ -346,6 +346,12 @@ def test_config_without_file_is_usage_error(capsys):
     assert "--config needs a file argument" in err
 
 
+def test_config_with_empty_path_is_usage_error(capsys):
+    code, _, err = run(capsys, "train1d", "--config=")
+    assert code == 2
+    assert "--config needs a file argument" in err
+
+
 def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n=3\njust words\n")

@@ -41,6 +41,11 @@ def test_square_with_center():
     assert all(4 in t for t in tri.triangles)
 
 
+def test_triangulate_needs_a_2d_grid():
+    with pytest.raises(ValueError):
+        triangulate(Grid([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
 def test_collinear_raises():
     with pytest.raises(FlatGridError):
         triangulate(Grid([[0, 0], [1, 1], [2, 2]]))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from dualquant import _simplex
 from dualquant.batch import BatchSolver
 from dualquant.distributions import DistributionSpec, make_normal, make_uniform_box
 from dualquant.errors import NonDifferentiableError
@@ -85,11 +86,6 @@ def test_cvlq_step_matches_solution_movement():
             np.testing.assert_allclose(out.points[i], want, atol=1e-13)
         else:
             assert np.array_equal(out.points[i], g.points[i])
-
-
-def test_cvlq_step_rejects_other_norms():
-    with pytest.raises(ValueError):
-        cvlq_step(TRIANGLE, [0.2, 0.2], 0.1, spec=NormSpec("l1", 2))
 
 
 def test_train_config_validation():
@@ -213,10 +209,9 @@ def test_block_update_equals_summed_lp_steps(dist, n, cfg):
     exterior = 0
     for k0 in range(0, cfg.steps, 64):
         block = X[k0:k0 + 64]
-        solver = BatchSolver(grid, S2, extended=True)
-        sol = solver.solve(block)
+        sol = BatchSolver(grid, S2, extended=True).solve(block)
         if dist.dim == 2:
-            assert not solver.tied(block).any()
+            assert not sol.tied.any()
         assert np.isin(sol.basis, pins).any()  # the pin mask is exercised
         exterior += int(np.count_nonzero(sol.nearest >= 0))
         want = _lp_block(grid, block, k0, cfg)
@@ -364,6 +359,24 @@ def test_mc_gradient_warns_on_degenerate_grid():
     square = Grid([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     with pytest.warns(RuntimeWarning):
         mc_gradient(square, U2, S2, 256, RngStream(1))
+
+
+def test_mc_gradient_counts_its_own_tied_samples():
+    # every sample inside the cocircular square is tied
+    square = Grid([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.warns(RuntimeWarning, match="^256/256 gradient samples"):
+        mc_gradient(square, U2, S2, 256, RngStream(1))
+
+
+def test_lp_path_gradient_solves_each_sample_once(monkeypatch):
+    calls = []
+    solve = _simplex.solve_standard_form
+    monkeypatch.setattr(_simplex, "solve_standard_form",
+                        lambda *args: calls.append(1) or solve(*args))
+    rng = np.random.default_rng(4)
+    g = Grid(np.vstack([CORNERS, rng.uniform(size=(8, 2))]))
+    mc_gradient(g, U2, NormSpec("l2", 3.0), 200, RngStream(2))
+    assert len(calls) == 200
 
 
 def test_refine_zero_iterations_is_identity():
