@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dual quantization grids: train, evaluate, integrate.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p: argparse.ArgumentParser, threads: bool = False):
+    def common(p: argparse.ArgumentParser, threads: str = ""):
         p.add_argument("--seed", type=int, default=0,
                        help="random seed (default 0)")
         p.add_argument("--json", action="store_true",
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help=argparse.SUPPRESS)
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker threads for MC shards (default 1)")
+                           help=f"worker threads for {threads} (default 1)")
 
     p = sub.add_parser("train1d", help="1D Newton grid training")
     p.add_argument("--dist", required=True)
@@ -368,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000,
                    help="MC samples for the final error estimate")
     p.add_argument("--out", help="grid file to write (.json or .csv)")
-    common(p, threads=True)
+    common(p, threads="the final error estimate's MC shards; training, "
+                      "refine and its gradients run on one thread")
     p.set_defaults(func=cmd_trainnd)
 
     p = sub.add_parser("eval", help="error of a grid file")
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--compare-voronoi", action="store_true",
                    help="also report the nearest-neighbour error")
-    common(p, threads=True)
+    common(p, threads="MC shards")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("cubature", help="weights and second-order report")
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Lipschitz constant of F' (default: derived)")
     p.add_argument("--extended", action="store_true")
     p.add_argument("--samples", type=int, default=200_000)
-    common(p, threads=True)
+    common(p, threads="MC shards")
     p.set_defaults(func=cmd_cubature)
 
     p = sub.add_parser("rate-table", aliases=["rate_table"],
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--extended", action="store_true")
     p.add_argument("--out", help="CSV file to write")
-    common(p, threads=True)
+    common(p, threads="MC shards")
     p.set_defaults(func=cmd_rate_table)
 
     p = sub.add_parser("export-svg", aliases=["export_svg"],

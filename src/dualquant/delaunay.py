@@ -43,11 +43,11 @@ EDGE_TOL = 1e-9
 QHULL_OPTIONS = "Qbb Qc Qz Q12"
 # Rows reach Qhull's walk in bucket order only in a batch with more rows
 # than the mesh has simplices, on a mesh with at least SORT_MIN_BUCKETS
-# buckets per axis.  Ordering costs about 20 us a call; per row, with
-# numpy's one-thread build on a 2-vCPU Xeon, given order against bucket
-# order: 64 rows, 64-point 2D grid (117 simplices) 130 against 339 ns;
-# 16 384 rows, 2x2 product grid (3 buckets per axis) 74 against 85 ns,
-# 4x4 (6 per axis) 113 against 90 ns.
+# buckets per axis.  Ordering costs about 9 us a call; per row, with
+# numpy 2.4's one-thread build on a 2-vCPU Xeon, given order against
+# bucket order: 64 rows, 64-point 2D grid (122 simplices) 99 against
+# 242 ns; 16 384 rows, 2x2 product grid (3 buckets per axis) 54 against
+# 56 ns, 4x4 (6 per axis) 79 against 56 ns.
 SORT_MIN_BUCKETS = 4
 
 
@@ -106,19 +106,30 @@ class Mesh:
         Small batches and meshes with fewer than ``SORT_MIN_BUCKETS``
         buckets per axis keep the given order, where sorting costs more
         than it saves."""
-        lo, hi, scale, m = self.buckets
-        if m < SORT_MIN_BUCKETS or len(Xc) <= len(self.qhull.simplices):
+        if (self.buckets[3] < SORT_MIN_BUCKETS
+                or len(Xc) <= len(self.qhull.simplices)):
             return self.qhull.find_simplex(Xc)
-        cell = (np.clip(Xc, lo, hi) - lo) * scale
+        order = np.argsort(self._bucket_key(Xc), kind="stable")  # radix sort
+        # np.take gathers in about a tenth of Xc[order]'s time
+        found = self.qhull.find_simplex(np.take(Xc, order, axis=0))
+        s = np.empty_like(found)
+        s[order] = found
+        return s
+
+    def _bucket_key(self, Xc):
+        """Per centred row, its uint16 bucket number in snake order.  The
+        row is clamped to the box before it is scaled, so no row, however
+        large, overflows; NaN counts in the last bucket of its axis."""
+        lo, hi, scale, m = self.buckets
+        cell = np.maximum(Xc, lo)  # np.clip(Xc, lo, hi), then in place
+        np.minimum(cell, hi, out=cell)
+        cell -= lo
+        cell *= scale
         cell = np.fmin(cell, m - 1, out=cell).astype(np.uint16)  # NaN: m-1
         key = cell[:, 0]
         for a in range(1, Xc.shape[1]):  # odd prefixes run backwards
             key = key * m + np.where(key & 1, m - 1 - cell[:, a], cell[:, a])
-        order = np.argsort(key, kind="stable")  # a radix sort on uint16
-        found = self.qhull.find_simplex(Xc[order])
-        s = np.empty_like(found)
-        s[order] = found
-        return s
+        return key
 
 
 def orient2d(ax, ay, bx, by, cx, cy) -> float:

@@ -16,7 +16,7 @@ sample set; ``cvlq_step`` is the one-sample update through the LP.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -220,6 +220,7 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
     if dist.dim != grid.dim:
         raise ValueError("distribution and grid dimensions differ")
     n, d, p = grid.n, grid.dim, spec.p
+    Pt = np.ascontiguousarray(grid.points.T)  # one coordinate per row
     solver = BatchSolver(grid, spec, extended=True)
 
     def shard(k: int, m: int) -> tuple:
@@ -234,16 +235,18 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
             Xb = X[s:s + _GRADIENT_ROWS]
             sol = solver.solve(Xb)
             tied += int(np.count_nonzero(sol.tied))
-            diff = grid.points[sol.basis] - Xb[:, None, :]
-            if p == 2:  # p r^0 diff, bit for bit
-                pull = 2.0 * diff
-            else:
-                r = np.sqrt(np.sum(diff * diff, axis=-1, keepdims=True))
-                pull = p * r ** (p - 2.0) * diff
-            block = sol.weights[..., None] * (pull - sol.u1[:, None, :])
             rows = slice(s * (d + 1), (s + len(Xb)) * (d + 1))
             idx[rows] = sol.basis.ravel()
-            vec[:, rows] = block.reshape(-1, d).T
+            f = 2.0  # p r^(p-2), which is p r^0 = 2.0 bit for bit at p = 2
+            if p != 2:
+                diff = grid.points[sol.basis] - Xb[:, None, :]
+                f = p * np.sqrt(np.sum(diff * diff, axis=-1)) ** (p - 2.0)
+            for c in range(d):  # in place, one coordinate at a time
+                out = vec[c, rows].reshape(len(Xb), d + 1)
+                np.subtract(Pt[c][sol.basis], Xb[:, c, None], out=out)
+                out *= f
+                out -= sol.u1[:, c, None]
+                out *= sol.weights
         if not return_std:
             return tied, _scatter_sum(idx, vec, n)
         return tied, _scatter_sum(idx, vec, n), _scatter_sum(idx, vec ** 2, n)
@@ -268,7 +271,9 @@ def refine(grid: Grid, dist: DistributionSpec, iters: int = 5,
 
     Steps backtrack until the common-random-number estimate strictly
     decreases, so the result never scores worse than the input on that
-    fixed sample set.  Pinned points stay put.
+    fixed sample set.  That set is drawn once per call and held for every
+    evaluation of the objective (``mc_samples`` * d * 8 bytes), read only.
+    Pinned points stay put.
     """
     if iters < 0 or mc_samples < 2:
         raise ValueError("bad refine settings")
@@ -277,11 +282,20 @@ def refine(grid: Grid, dist: DistributionSpec, iters: int = 5,
     free = np.array([i not in grid.pinned for i in range(grid.n)])
     if iters == 0 or not free.any():
         return grid
-    obj_rng = rng.substream(0)
+    obj_rng, held = rng.substream(0), {}
+
+    def draw(stream: RngStream, m: int) -> np.ndarray:
+        key = (stream.seed, stream.spawn_key, m)
+        if key not in held:
+            X = held[key] = np.asarray(dist.sampler(stream, m), float)
+            X.flags.writeable = False
+        return held[key]
+
+    held_dist = replace(dist, sampler=draw)
 
     def objective(g: Grid) -> float:
-        return mc_dq_error(g, dist, EUCLIDEAN_QUADRATIC, mc_samples, obj_rng,
-                           extended=True).value
+        return mc_dq_error(g, held_dist, EUCLIDEAN_QUADRATIC, mc_samples,
+                           obj_rng, extended=True).value
 
     current = objective(grid)
     span = float(np.max(np.ptp(grid.points, axis=0))) or 1.0

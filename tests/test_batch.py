@@ -541,6 +541,36 @@ def test_bucket_key_takes_non_finite_rows(monkeypatch):
     assert got[3][bad].all()  # exterior
 
 
+def _clip_key(mesh, Xc):
+    """Mesh._bucket_key as np.clip wrote it."""
+    lo, hi, scale, m = mesh.buckets
+    cell = (np.clip(Xc, lo, hi) - lo) * scale
+    cell = np.fmin(cell, m - 1, out=cell).astype(np.uint16)
+    key = cell[:, 0]
+    for a in range(1, Xc.shape[1]):
+        key = key * m + np.where(key & 1, m - 1 - cell[:, a], cell[:, a])
+    return key
+
+
+@pytest.mark.parametrize("span", [1.0, 1e-6, 1e-9])
+def test_bucket_key_equals_the_clip_formula(span):
+    # the scale is about 14 / span: at span 1e-9 a key that scaled a row
+    # before clamping it would overflow on 1e300 (warnings are errors)
+    mesh = delaunay.Mesh(span * _random_grid(64, 1).points)
+    lo, hi, scale, m = mesh.buckets
+    assert scale.min() > 1.0 / span
+    # per axis: at lo and hi, past both, +-inf, NaN, +-1e300
+    special = [[lo[a], hi[a], lo[a] - span, hi[a] + span, np.inf, -np.inf,
+                np.nan, 1e300, -1e300] for a in range(2)]
+    rng = np.random.default_rng(5)
+    Xc = np.vstack([list(itertools.product(*special)),
+                    rng.uniform(lo - span, hi + span, size=(500, 2))])
+    key = mesh._bucket_key(Xc)
+    assert key.dtype == np.uint16
+    assert np.array_equal(key, _clip_key(mesh, Xc))
+    assert len(np.unique(key)) > m  # the rows fill many buckets
+
+
 def _estimates(grid_for, dist, spec, n):
     """mc_dq_error, weights and, under l2, second_order_report and
     mc_gradient, each on the grid ``grid_for()`` gives."""

@@ -10,7 +10,7 @@ from dualquant.errors import NonDifferentiableError
 from dualquant.geometry import EUCLIDEAN_QUADRATIC as S2
 from dualquant.geometry import Grid, NormSpec
 from dualquant.lp import local_dq_solve
-from dualquant.metrics import dq_values_batch, mc_dq_error
+from dualquant.metrics import DEFAULT_CHUNK, dq_values_batch, mc_dq_error
 from dualquant.optim1d import gradient_1d
 from dualquant.optimnd import (
     _GRADIENT_ROWS,
@@ -272,28 +272,44 @@ def _gradient_loop(grid, dist, spec, n_samples, rng):
     return grad, np.sqrt(var / n_samples), exterior
 
 
-@pytest.mark.parametrize("grid, dist, spec", [
+def _pinned_box_grid(corners, extra, seed):
+    """Box corners, pinned, plus random interior points, as 2D and 3D
+    training grids start."""
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([corners, rng.uniform(size=(extra, len(corners[0])))])
+    return Grid(pts, pinned=set(range(len(corners))))
+
+
+GRADIENT_CASES = [
     (Grid(np.random.default_rng(4).uniform(-1.5, 1.5, size=(12, 2))),
      make_normal(dim=2), S2),
     (Grid([0.1, 0.35, 0.4, 0.8]), make_uniform_box([0.0], [1.0]),
      NormSpec("l2", 3.0)),
-])
+    (_pinned_box_grid(CORNERS, 20, 5), U2, S2),
+    # the cube's corners are cospherical: its tied samples warn
+    pytest.param(_pinned_box_grid(CUBE, 22, 6), U3, S2,
+                 marks=pytest.mark.filterwarnings(
+                     "ignore:.*gradient samples hit degenerate")),
+]
+
+
+@pytest.mark.parametrize("grid, dist, spec", GRADIENT_CASES)
 def test_mc_gradient_matches_the_scatter_loop(grid, dist, spec):
     n = 2 * _GRADIENT_ROWS + 500  # one shard of three solved blocks
     grad, std = mc_gradient(grid, dist, spec, n, RngStream(31),
                             return_std=True)
     ref_grad, ref_std, exterior = _gradient_loop(grid, dist, spec, n,
                                                  RngStream(31))
-    assert exterior > 0
+    # only a law with mass outside the grid's box has exterior samples:
+    # the corner grids' hull is their law's box
+    lo, hi = grid.points.min(axis=0), grid.points.max(axis=0)
+    boxed = dist.support is not None and bool(
+        np.all(dist.support[0] >= lo) and np.all(dist.support[1] <= hi))
+    assert (exterior == 0) == boxed
     assert np.array_equal(grad, ref_grad) and np.array_equal(std, ref_std)
 
 
-@pytest.mark.parametrize("grid, dist, spec", [
-    (Grid(np.random.default_rng(4).uniform(-1.5, 1.5, size=(12, 2))),
-     make_normal(dim=2), S2),
-    (Grid([0.1, 0.35, 0.4, 0.8]), make_uniform_box([0.0], [1.0]),
-     NormSpec("l2", 3.0)),
-])
+@pytest.mark.parametrize("grid, dist, spec", GRADIENT_CASES)
 def test_mc_gradient_without_std_matches_the_scatter_loop(grid, dist, spec):
     # p = 2 skips r^(p-2), and without return_std the squares are not
     # summed: neither changes a bit of the gradient
@@ -398,6 +414,71 @@ def test_refine_never_hurts_fixed_seed_objective():
     assert after <= before
     np.testing.assert_array_equal(out.points[:4], g.points[:4])
     assert out.pinned == g.pinned
+
+
+def _refine_loop(grid, dist, iters, mc_samples, rng):
+    """refine as it was: every evaluation of the objective draws its
+    samples again through mc_dq_error."""
+    free = np.array([i not in grid.pinned for i in range(grid.n)])
+    obj_rng = rng.substream(0)
+
+    def objective(g):
+        return mc_dq_error(g, dist, S2, mc_samples, obj_rng,
+                           extended=True).value
+
+    current = objective(grid)
+    span = float(np.max(np.ptp(grid.points, axis=0))) or 1.0
+    for it in range(iters):
+        g = mc_gradient(grid, dist, S2, mc_samples, rng.substream(10 + it))
+        g[~free] = 0.0
+        gmax = float(np.max(np.abs(g)))
+        if gmax == 0.0:
+            break
+        step = 0.1 * span / gmax
+        accepted = False
+        for _ in range(12):
+            try:
+                trial = grid.with_points(grid.points - step * g)
+                val = objective(trial)
+            except ValueError:
+                val = np.inf
+            if val < current:
+                grid, current, accepted = trial, val, True
+                break
+            step /= 2.0
+        if not accepted:
+            break
+    return grid
+
+
+def _counting(dist, draws):
+    """dist, with every sampler call's substream key appended to draws."""
+    def sampler(stream, m):
+        draws.append(stream.spawn_key)
+        return dist.sampler(stream, m)
+
+    return DistributionSpec(dist.name, dist.dim, sampler, dist.support)
+
+
+@pytest.mark.parametrize("grid, dist", [
+    (Grid(np.vstack([CORNERS, np.random.default_rng(8).uniform(
+        0.1, 0.9, size=(12, 2))]), pinned={0, 1, 2, 3}), U2),
+    (Grid(np.random.default_rng(9).uniform(-1.5, 1.5, size=(16, 2))),
+     make_normal(dim=2)),  # many exterior rows
+])
+def test_refine_holds_its_draws_and_equals_the_redrawing_loop(grid, dist):
+    n = DEFAULT_CHUNK + 500  # the objective's samples span two shards
+    held, redrawn = [], []
+    out = refine(grid, _counting(dist, held), iters=3, mc_samples=n,
+                 rng=RngStream(12))
+    ref = _refine_loop(grid, _counting(dist, redrawn), 3, n, RngStream(12))
+    assert np.array_equal(out.points, ref.points)
+    assert out.pinned == ref.pinned and not np.array_equal(out.points,
+                                                           grid.points)
+    # the objective's shards draw from substreams (0, k), the gradient's
+    # from (10 + it, k)
+    assert [k for k in held if k[0] == 0] == [(0, 0), (0, 1)]
+    assert redrawn.count((0, 0)) > 2
 
 
 def test_refine_1d_moves_interior_point_toward_optimum():
