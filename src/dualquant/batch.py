@@ -260,13 +260,21 @@ class _Simplicial(_PerRowLP):
 
     def _inverses(self, bases, ok=None):
         """Inverse extended matrices [P; 1] of index rows ``bases``, in units
-        of the spread; NaN where ``ok`` (default: the LP's rank test) fails."""
-        M = np.concatenate([self.mesh.Pc[bases] / self.spread,
-                            np.ones(bases.shape + (1,))], axis=-1)
-        ok = _affinely_independent(M) if ok is None else ok
-        inverse = np.full(M.shape, np.nan)
-        inverse[ok] = np.linalg.inv(np.swapaxes(M[ok], -1, -2))
-        return inverse
+        of the spread; NaN where ``ok`` (default: the LP's rank test) fails.
+        Each matrix is tested and inverted on its own, so blocks of 4096
+        give the same bits and hold the peak near the result's size."""
+        d1 = bases.shape[-1]
+        flat = bases.reshape(-1, d1)
+        ok = None if ok is None else np.reshape(ok, -1)
+        inverse = np.full((len(flat), d1, d1), np.nan)
+        for start in range(0, len(flat), 4096):
+            rows = slice(start, start + 4096)
+            B = flat[rows]
+            M = np.concatenate([self.mesh.Pc[B] / self.spread,
+                                np.ones(B.shape + (1,))], axis=-1)
+            k = _affinely_independent(M) if ok is None else ok[rows]
+            inverse[rows][k] = np.linalg.inv(np.swapaxes(M[k], -1, -2))
+        return inverse.reshape(bases.shape + (d1,))
 
     @cached_property
     def _sorted(self):
@@ -325,8 +333,10 @@ class _Simplicial(_PerRowLP):
     def values(self, X):
         t, Xc, lp, exterior = self._locate(X)
         z, r2, _ = self.mesh.spheres
-        D = Xc - z[t]
-        vals = np.maximum(r2[t] - np.einsum("ij,ij->i", D, D), 0.0)
+        # np.take gathers in a half to a tenth of z[t]'s time; keep the
+        # einsum: a per-column sum of squares rounds differently in d = 3
+        D = Xc - np.take(z, t, axis=0)
+        vals = np.maximum(np.take(r2, t) - np.einsum("ij,ij->i", D, D), 0.0)
         inside = ~exterior
         if lp.any():
             inside[lp], vals[lp] = super().values(X[lp])
@@ -336,8 +346,10 @@ class _Simplicial(_PerRowLP):
         t, Xc, doubt, exterior = self._locate(X)
         verts, inverse = self._sorted
         Xu = np.column_stack([Xc / self.spread, np.ones(len(X))])
-        basis, w = verts[t], np.einsum("nij,nj->ni", inverse[t], Xu)
-        u1, inside = 2.0 * (self.mesh.spheres[0][t] - Xc), ~exterior
+        basis = np.take(verts, t, axis=0)
+        w = np.einsum("nij,nj->ni", np.take(inverse, t, axis=0), Xu)
+        u1 = 2.0 * (np.take(self.mesh.spheres[0], t, axis=0) - Xc)
+        inside = ~exterior
         lp = doubt | (inside & ~(_row_min(w) >= FACET_TOL))  # NaN too
         tie = inside & ~lp & self.tied_simplex[t]
         if tie.any():

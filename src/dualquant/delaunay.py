@@ -41,14 +41,19 @@ COCIRCULAR_EPS = 1e-12
 # Edge containment slack for location, relative to the grid's diameter.
 EDGE_TOL = 1e-9
 QHULL_OPTIONS = "Qbb Qc Qz Q12"
-# Rows reach Qhull's walk in bucket order only in a batch with more rows
-# than the mesh has simplices, on a mesh with at least SORT_MIN_BUCKETS
-# buckets per axis.  Ordering costs about 9 us a call; per row, with
+# Rows reach Qhull's walk in bucket order only in a batch of at least
+# SORT_MIN_ROWS rows, on a mesh with at least SORT_MIN_BUCKETS buckets per
+# axis.  Ordering costs about 10 us a call and 30-40 ns a row; walking a
+# row in the given order costs more the larger the mesh.  Per row, with
 # numpy 2.4's one-thread build on a 2-vCPU Xeon, given order against
-# bucket order: 64 rows, 64-point 2D grid (122 simplices) 99 against
-# 242 ns; 16 384 rows, 2x2 product grid (3 buckets per axis) 54 against
-# 56 ns, 4x4 (6 per axis) 79 against 56 ns.
+# bucket order on uniform rows: 256 rows on a 64-point grid (117
+# simplices) 73 against 87 ns, 512 rows 77 against 60; on 2042 simplices
+# 128 rows 216 against 230, 256 rows 331 against 158; on 8186 simplices
+# 64 rows 478 against 477, 4096 rows 1027 against 123.  A 3x3 product
+# grid (6 buckets per axis) breaks even near 1024 rows, while a triangle
+# or a square (2 or 3 per axis) never does: 16 384 rows 22 against 32 ns.
 SORT_MIN_BUCKETS = 4
+SORT_MIN_ROWS = 256
 
 
 class Mesh:
@@ -73,9 +78,9 @@ class Mesh:
                 "grid points too close to tell apart: Qhull left point "
                 f"{int(self.qhull.coplanar[0, 0])} out of the triangulation")
         self.span = float(np.sqrt(np.sum(np.ptp(P, axis=0) ** 2)))
-        # about one bucket per simplex, m per axis, numbered in uint16
+        # about four buckets per simplex, m per axis, numbered in uint16
         d, T = P.shape[1], len(self.qhull.simplices)
-        m = min(ceil(T ** (1 / d)), int(2 ** (16 / d)))
+        m = min(ceil((4 * T) ** (1 / d)), int(2 ** (16 / d)))
         lo, hi = Pc.min(axis=0), Pc.max(axis=0)
         self.buckets = (lo, hi, m / (hi - lo), m)
 
@@ -96,18 +101,17 @@ class Mesh:
         """Qhull's simplex per centred row, -1 outside.
 
         Qhull's ``find_simplex`` walks from where the previous row's walk
-        ended, so a batch with more rows than the mesh has simplices is
-        handed over in snake order of about one bucket per simplex over
-        the points' box (a radix sort on a uint16 key; rows outside the
-        box count in its edge buckets) and the answers are scattered
-        back.  A row strictly inside a simplex gets that simplex from any
-        walk.  A row on a facet ends in one of the simplices holding it,
-        and which one hangs on the row walked before it, in any order.
-        Small batches and meshes with fewer than ``SORT_MIN_BUCKETS``
+        ended, so a batch of at least ``SORT_MIN_ROWS`` rows is handed
+        over in snake order of about four buckets per simplex over the
+        points' box (a radix sort on a uint16 key; rows outside the box
+        count in its edge buckets) and the answers are scattered back.
+        A row strictly inside a simplex gets that simplex from any walk.
+        A row on a facet ends in one of the simplices holding it, and
+        which one hangs on the row walked before it, in any order.
+        Smaller batches and meshes with fewer than ``SORT_MIN_BUCKETS``
         buckets per axis keep the given order, where sorting costs more
         than it saves."""
-        if (self.buckets[3] < SORT_MIN_BUCKETS
-                or len(Xc) <= len(self.qhull.simplices)):
+        if self.buckets[3] < SORT_MIN_BUCKETS or len(Xc) < SORT_MIN_ROWS:
             return self.qhull.find_simplex(Xc)
         order = np.argsort(self._bucket_key(Xc), kind="stable")  # radix sort
         # np.take gathers in about a tenth of Xc[order]'s time
@@ -119,16 +123,20 @@ class Mesh:
     def _bucket_key(self, Xc):
         """Per centred row, its uint16 bucket number in snake order.  The
         row is clamped to the box before it is scaled, so no row, however
-        large, overflows; NaN counts in the last bucket of its axis."""
+        large, overflows; NaN counts in the last bucket of its axis.  One
+        column at a time, with scalar bounds: an (N, d) op (d,) broadcast
+        runs numpy's inner loop over the short axis, at about 3.5 times
+        the cost for the same bits."""
         lo, hi, scale, m = self.buckets
-        cell = np.maximum(Xc, lo)  # np.clip(Xc, lo, hi), then in place
-        np.minimum(cell, hi, out=cell)
-        cell -= lo
-        cell *= scale
-        cell = np.fmin(cell, m - 1, out=cell).astype(np.uint16)  # NaN: m-1
-        key = cell[:, 0]
-        for a in range(1, Xc.shape[1]):  # odd prefixes run backwards
-            key = key * m + np.where(key & 1, m - 1 - cell[:, a], cell[:, a])
+        key = None
+        for a in range(Xc.shape[1]):  # odd prefixes run backwards
+            cell = np.maximum(Xc[:, a], lo[a])  # np.clip, then in place
+            np.minimum(cell, hi[a], out=cell)
+            cell -= lo[a]
+            cell *= scale[a]
+            cell = np.fmin(cell, m - 1, out=cell).astype(np.uint16)  # NaN: m-1
+            key = cell if key is None else (
+                key * m + np.where(key & 1, m - 1 - cell, cell))
         return key
 
 

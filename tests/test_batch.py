@@ -18,7 +18,7 @@ from dualquant.cubature import second_order_report, weights
 from dualquant.distributions import make_normal, make_uniform_box
 from dualquant.errors import InfeasibleError, SampleOutsideHullError
 from dualquant.geometry import EUCLIDEAN_QUADRATIC as S2
-from dualquant.geometry import Grid, NormSpec
+from dualquant.geometry import Grid, NormSpec, _affinely_independent
 from dualquant.lp import enumerate_bases_oracle, is_nondegenerate, local_dq_solve
 from dualquant.metrics import mc_dq_error
 from dualquant.optimnd import mc_gradient
@@ -222,6 +222,27 @@ def test_tie_table_is_capped():
         ref = local_dq_solve(grid, x, S2)
         assert tuple(basis) == ref.basis
         np.testing.assert_allclose(w, ref.weights, rtol=0, atol=1e-12)
+
+
+def test_tie_table_build_peaks_near_its_size():
+    # the capped table of the 4^4 product grid is 16 MiB; built in one
+    # stack of matrices it peaked at 48.5 MiB
+    path = batch._Simplicial(_product_grid(4, 3), extended=False)
+    path.tied_simplex  # built before the count: per simplex, not the table
+    tracemalloc.start()
+    try:
+        _, bases, inverse = path._cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (bases.nbytes + inverse.nbytes)
+    # in blocks or in one stack, each matrix is inverted on its own
+    M = np.concatenate([path.mesh.Pc[bases] / path.spread,
+                        np.ones(bases.shape + (1,))], axis=-1)
+    ok = _affinely_independent(M)
+    ref = np.full(M.shape, np.nan)
+    ref[ok] = np.linalg.inv(np.swapaxes(M[ok], -1, -2))
+    assert np.array_equal(inverse, ref, equal_nan=True)
 
 
 @pytest.mark.parametrize("grid,spec,path", [
@@ -463,10 +484,10 @@ def _location_rows(path, seed):
 
 
 def _batches(path, X):
-    """Batches on both sides of the ordering rule: as many rows as the
-    mesh has simplices (walked as given), one more, and all rows."""
-    T = len(path.mesh.qhull.simplices)
-    return [X[:T], X[:T + 1], X]
+    """Batches on both sides of the ordering rule: one row fewer than
+    ``SORT_MIN_ROWS`` (walked as given), that many, and all rows."""
+    R = delaunay.SORT_MIN_ROWS
+    return [X[:R - 1], X[:R], X]
 
 
 def _one_simplex(path, Xc):
@@ -491,11 +512,12 @@ def test_ordered_location_equals_find_simplex(grid, monkeypatch):
     find = path.mesh.qhull.find_simplex
     monkeypatch.setattr(path.mesh.qhull, "find_simplex",
                         lambda Y: walked.append(Y) or find(Y))
-    T, m = len(path.mesh.qhull.simplices), path.mesh.buckets[-1]
+    m = path.mesh.buckets[-1]
     for Xb in _batches(path, _location_rows(path, 0)):
         Xc = Xb - path.mesh.center
         got = path.mesh.find(Xc)
-        ordered = len(Xb) > T and m >= delaunay.SORT_MIN_BUCKETS
+        ordered = (len(Xb) >= delaunay.SORT_MIN_ROWS
+                   and m >= delaunay.SORT_MIN_BUCKETS)
         assert not np.array_equal(walked[-1], Xc) == ordered
         ref = find(Xc)
         assert np.array_equal(got < 0, ref < 0)
@@ -521,6 +543,54 @@ def test_ordered_location_changes_no_result(grid, monkeypatch):
         # on a facet both simplices' closed forms hold, up to rounding
         np.testing.assert_allclose(vals, ref, rtol=0,
                                    atol=1e-10 * path.mesh.span ** 2)
+
+
+def _fancy_values(path, X):
+    """_Simplicial.values with the gathers written as fancy indexing."""
+    t, Xc, lp, exterior = path._locate(X)
+    z, r2, _ = path.mesh.spheres
+    D = Xc - z[t]
+    vals = np.maximum(r2[t] - np.einsum("ij,ij->i", D, D), 0.0)
+    inside = ~exterior
+    if lp.any():
+        inside[lp], vals[lp] = batch._PerRowLP.values(path, X[lp])
+    return inside, vals
+
+
+def _fancy_solve(path, X):
+    """_Simplicial.solve with the gathers written as fancy indexing."""
+    t, Xc, doubt, exterior = path._locate(X)
+    verts, inverse = path._sorted
+    Xu = np.column_stack([Xc / path.spread, np.ones(len(X))])
+    basis, w = verts[t], np.einsum("nij,nj->ni", inverse[t], Xu)
+    u1, inside = 2.0 * (path.mesh.spheres[0][t] - Xc), ~exterior
+    lp = doubt | (inside & ~(batch._row_min(w) >= batch.FACET_TOL))
+    tie = inside & ~lp & path.tied_simplex[t]
+    if tie.any():
+        basis[tie], w[tie] = path._first_holding(t[tie], Xu[tie])
+        lp |= tie & ~(batch._row_min(w) >= batch.FACET_TOL)
+    if lp.any():
+        (inside[lp], basis[lp], w[lp], u1[lp],
+         tie[lp]) = batch._PerRowLP.solve(path, X[lp])
+    return inside, basis, w, u1, tie
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(_random_grid(256, 2), id="random256"),
+    pytest.param(_product_grid(2, 4), id="product4"),
+    pytest.param(_cube_grid(3), id="cube3d"),
+])
+def test_gathers_keep_every_bit(grid):
+    # np.take in place of fancy indexing; in d = 3 a per-column sum of
+    # squares in place of the einsum would round some values differently
+    path = batch._Simplicial(grid, extended=True)
+    X = _location_rows(path, 2)
+    got, ref = path.values(X), _fancy_values(path, X)
+    assert not got[0].all()  # exterior rows
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    for a, b in zip(path.solve(X), _fancy_solve(path, X)):
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_bucket_key_takes_non_finite_rows(monkeypatch):
@@ -552,19 +622,25 @@ def _clip_key(mesh, Xc):
     return key
 
 
-@pytest.mark.parametrize("span", [1.0, 1e-6, 1e-9])
-def test_bucket_key_equals_the_clip_formula(span):
-    # the scale is about 14 / span: at span 1e-9 a key that scaled a row
+@pytest.mark.parametrize("grid,span", [
+    *(pytest.param(_random_grid(64, 1), s, id=f"{s}")
+      for s in (1.0, 1e-6, 1e-9)),
+    *(pytest.param(_cube_grid(3), s, id=f"cube3d-{s}")
+      for s in (1.0, 1e-6, 1e-9)),
+])
+def test_bucket_key_equals_the_clip_formula(grid, span):
+    # the scale is m / span or more: at span 1e-9 a key that scaled a row
     # before clamping it would overflow on 1e300 (warnings are errors)
-    mesh = delaunay.Mesh(span * _random_grid(64, 1).points)
+    d = grid.dim
+    mesh = delaunay.Mesh(span * grid.points)
     lo, hi, scale, m = mesh.buckets
     assert scale.min() > 1.0 / span
     # per axis: at lo and hi, past both, +-inf, NaN, +-1e300
     special = [[lo[a], hi[a], lo[a] - span, hi[a] + span, np.inf, -np.inf,
-                np.nan, 1e300, -1e300] for a in range(2)]
+                np.nan, 1e300, -1e300] for a in range(d)]
     rng = np.random.default_rng(5)
     Xc = np.vstack([list(itertools.product(*special)),
-                    rng.uniform(lo - span, hi + span, size=(500, 2))])
+                    rng.uniform(lo - span, hi + span, size=(500, d))])
     key = mesh._bucket_key(Xc)
     assert key.dtype == np.uint16
     assert np.array_equal(key, _clip_key(mesh, Xc))
