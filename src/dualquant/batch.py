@@ -19,11 +19,11 @@ case they are served by their nearest grid point.  ``shard_reduce`` is
 the one loop that splits Monte Carlo work into numbered shards.
 
 Ties: on a cospherical grid (any product grid) more than one simplex is
-optimal at a row.  Every path answers with the LP's lexicographically
-smallest optimal basis, which ``simplicial`` finds in closed form.
-``splitting`` solves its query points here too, so ``split`` and
-``cubature``, ``mc_gradient`` and ``train`` draw from one basis by
-construction; ``cvlq_step`` keeps the LP as the reference they match.
+optimal at a row.  Every path answers with the LP's optimal basis (see
+``lp._canonical_basis``), which ``simplicial`` finds in closed form.
+``splitting`` and ``dq_solve_delaunay`` solve their points here too, so
+``split``, ``cubature``, ``mc_gradient`` and ``train`` draw from one
+basis by construction; ``cvlq_step`` keeps the LP as the reference.
 
 Location: a row on a facet ends in any simplex holding it (see
 ``Mesh.find``); ``solve`` sends such rows to the LP, and ``values`` there

@@ -6,8 +6,8 @@ its circumcenter, and the local error obeys
 
     F^2(xi) = r^2 - ||z - xi||^2
 
-on the containing simplex.  ``batch_values`` is ``BatchSolver``'s
-extended evaluator on a triangulation's grid.
+on the containing simplex.  ``batch_values`` and ``dq_solve_delaunay``
+are ``BatchSolver``'s extended values and one-row solve on a grid.
 
 ``Mesh`` builds every grid's Delaunay mesh, for ``batch`` in any d >= 2
 and for ``triangulate``: Qhull (``scipy.spatial.Delaunay``) on centred
@@ -18,9 +18,9 @@ toward the diagonal with the lexicographically smallest sorted index
 pair, by a tolerance-aware in-circle predicate in the caller's
 coordinates; the triangulation is deterministic for a fixed point order.
 
-Planar point location has one implementation, the walk of
-``batch_solve``, with an edge slack relative to the grid's diameter;
-``locate`` and ``hull_mask`` read its answer.
+The walk of ``batch_solve`` over a ``Triangulation``, with an edge
+slack relative to the grid's diameter, serves only ``batch_solve``,
+``locate`` and ``hull_mask``; no solve reads it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import FlatGridError, InfeasibleError
-from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec, circumcenter
+from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec
 from .lp import LocalSolution
 
 # Relative scale factor for treating an in-circle determinant as zero.
@@ -320,25 +320,25 @@ def locate(tri: Triangulation, xi) -> int | None:
 
 
 def dq_solve_delaunay(grid: Grid, tri: Triangulation, xi, spec: NormSpec) -> LocalSolution:
-    """Local solution through the located Delaunay triangle (l2, p = 2)."""
+    """Local solution at xi (l2, p = 2): the one-row answer of
+    ``BatchSolver.solve`` on ``grid``, ties included, with u2 from the
+    basis.  ``tri`` is kept for compatibility and is not read."""
+    from .batch import BatchSolver  # batch imports this module
+
     if not spec.is_euclidean_quadratic:
         raise ValueError("the Delaunay fast path requires the Euclidean norm with p = 2")
     if grid.dim != 2:
         raise ValueError("the Delaunay fast path is two-dimensional")
     xi = np.asarray(xi, dtype=float)
-    t = locate(tri, xi)
-    if t is None:
+    sol = BatchSolver(grid, spec, extended=True).solve(xi.reshape(1, 2))
+    if sol.nearest[0] >= 0:
         raise InfeasibleError("query point lies outside the convex hull of the grid")
-    basis = tuple(sorted(tri.triangles[t]))
-    P, mesh = tri.points, tri.mesh
-    M = np.vstack([P[list(basis)].T, np.ones(3)])
-    lam = np.linalg.solve(M, np.concatenate([xi, [1.0]]))
-    # the circumcentre on centred points: an offset costs no precision
-    u1 = 2.0 * (circumcenter(mesh.Pc[list(basis)])[0] - (xi - mesh.center))
-    u2 = float(np.sum((xi - P[basis[0]]) ** 2) - P[basis[0]] @ u1)
-    costs = np.sum((xi[None, :] - P[list(basis)]) ** 2, axis=1)
-    value = float(lam @ costs)
-    return LocalSolution(xi, basis, lam, np.concatenate([u1, [u2]]), value)
+    basis, lam, u1 = sol.basis[0], sol.weights[0], sol.u1[0]
+    P = grid.points[basis]
+    u2 = float(np.sum((xi - P[0]) ** 2) - P[0] @ u1)
+    value = float(lam @ np.sum((xi[None, :] - P) ** 2, axis=1))
+    return LocalSolution(xi, tuple(int(i) for i in basis), lam,
+                         np.concatenate([u1, [u2]]), value)
 
 
 # --- vectorized evaluation ---------------------------------------------------

@@ -8,7 +8,8 @@ is the optimum of
 
 The optimal basis (d+1 affinely independent grid points whose simplex
 contains xi) is canonicalized deterministically so that repeated solves
-and boundary queries always report the same basis.
+and boundary queries always report the same basis, an optimal one:
+its dual u is feasible even where a weight is zero.
 """
 
 from __future__ import annotations
@@ -89,9 +90,10 @@ def _canonical_basis(A, b, c, res, tol_s, tol_w):
     """Deterministic optimal basis selection, and whether it was tied.
 
     Ties (query on a region boundary, cocircular configurations, vertex
-    hits) are resolved toward the lexicographically smallest basis: the
-    best feasible (d+1)-subset of the tight columns is compared against
-    the greedy smallest-index completion of the positive support.
+    hits) go to the smaller of two optimal bases, the first (d+1)-subset
+    of the tight columns holding the query and, if its own dual is
+    feasible, the smallest-index completion of the positive support;
+    failing both, to the simplex's final basis.
     """
     m, n = A.shape
     basis = sorted(res.basis)
@@ -100,7 +102,7 @@ def _canonical_basis(A, b, c, res, tol_s, tol_w):
     tight = np.flatnonzero(s <= tol_s)
     if len(support) == m and len(tight) == m and set(tight) == set(basis):
         return basis, False  # strict complementarity: the basis is unique
-    cand_a = None
+    options = []
     if len(tight) >= m and comb(len(tight), m) <= TIE_BUDGET:
         for cand in combinations(tight.tolist(), m):
             cols = A[:, cand]
@@ -108,7 +110,7 @@ def _canonical_basis(A, b, c, res, tol_s, tol_w):
                 continue
             lam = np.linalg.solve(cols, b)
             if lam.min() >= -tol_w:
-                cand_a = list(cand)
+                options.append(cand)
                 break
     # Completion route: keep the carried weights, fill remaining slots
     # with the smallest indices that preserve affine independence.
@@ -121,11 +123,11 @@ def _canonical_basis(A, b, c, res, tol_s, tol_w):
         if _affinely_independent(A[:, sorted(chosen + [j])]):
             chosen.append(j)
             chosen.sort()
-    cand_b = sorted(chosen) if len(chosen) == m else None
-    options = [tuple(cand) for cand in (cand_a, cand_b) if cand is not None]
-    if not options:
-        raise FlatGridError("could not complete an affine basis")
-    return list(min(options)), True
+    if len(chosen) == m:  # optimal only if its own dual is feasible
+        y_b = np.linalg.solve(A[:, chosen].T, c[chosen])
+        if np.min(c - A.T @ y_b) >= -tol_s:
+            options.append(tuple(chosen))
+    return list(min(options)) if options else basis, True
 
 
 def _solve(grid: Grid, xi, spec: NormSpec) -> tuple[LocalSolution, bool]:
@@ -218,13 +220,6 @@ def optimality_region_contains(grid: Grid, indices, xi, spec: NormSpec) -> bool:
 
 
 def is_nondegenerate(grid: Grid, xi, spec: NormSpec) -> bool:
-    """Strict complementarity: every non-basis column keeps positive slack."""
-    sol = local_dq_solve(grid, xi, spec)
-    if len(sol.basis) == grid.n:
-        return True
-    # slack in the grid's own units, as the solve judged it
-    A, _, c = _unit_program(grid, sol.xi, _costs(grid, sol.xi, spec))
-    basis = list(sol.basis)
-    s = c - A.T @ np.linalg.solve(A[:, basis].T, c[basis])
-    outside = np.setdiff1d(np.arange(grid.n), basis)
-    return bool(np.min(s[outside]) > TOL)
+    """Strict complementarity at xi: the solve's ``tied`` flag negated, so
+    a zero weight counts as degenerate, as in ``BatchSolution.tied``."""
+    return not _solve(grid, xi, spec)[1]

@@ -82,8 +82,8 @@ def cvlq_step(grid: Grid, xi, alpha: float) -> Grid:
 
     Basis vertices move toward z* = xi + u1/2 by alpha times their
     weight; outside the hull the nearest neighbour moves toward the
-    sample.  Pinned points never move.  On a tie the LP's
-    lexicographically smallest basis moves.
+    sample.  Pinned points never move.  On a tie the LP's basis moves,
+    toward the circumcentre of a Delaunay simplex.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     pts = grid.points.copy()

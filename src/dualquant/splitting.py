@@ -9,7 +9,7 @@ point first.
 
 Each call solves its point as one row of ``BatchSolver(grid, spec,
 extended=True)``, as ``cubature`` does, so both draw from the LP's basis
-(on a tie its lexicographically smallest), in ascending grid index.  At
+(on a tie its canonical one), in ascending grid index.  At
 a point of a 1D grid the bracketing pair may differ from the LP's basis;
 the draw, all of whose weight sits on that point, cannot.
 """

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -13,8 +15,9 @@ from dualquant.delaunay import (
     triangulate,
 )
 from dualquant.errors import FlatGridError, InfeasibleError
-from dualquant.geometry import Grid, NormSpec, in_convex_hull
+from dualquant.geometry import Grid, NormSpec, circumcenter, in_convex_hull
 from dualquant.lp import local_dq_solve, local_dq_value, optimality_region_contains
+from dualquant.optimnd import cvlq_step
 
 seed = 909
 S2 = NormSpec("l2", 2)
@@ -122,13 +125,21 @@ def test_locate_agrees_with_barycentric_containment():
             assert lam.min() >= -1e-9
 
 
+def _edges(tri):
+    return sorted({tuple(sorted(e)) for t in tri.triangles
+                   for e in combinations(t, 2)})
+
+
 def test_fast_path_matches_lp():
+    # random rows, grid points and edge midpoints: the same basis, and
+    # the same weights and dual, on every query
     rng = np.random.default_rng(seed + 4)
     for _ in range(3):
         g = random_grid(rng, 30)
         tri = triangulate(g)
-        for _ in range(60):
-            xi = rng.uniform(0, 1, size=2)
+        P = g.points
+        mid = [0.5 * (P[a] + P[b]) for a, b in _edges(tri)]
+        for xi in np.vstack([rng.uniform(0, 1, size=(60, 2)), P, mid]):
             try:
                 sol_lp = local_dq_solve(g, xi, S2)
             except InfeasibleError:
@@ -137,10 +148,25 @@ def test_fast_path_matches_lp():
                 continue
             sol_dt = dq_solve_delaunay(g, tri, xi, S2)
             assert abs(sol_dt.value - sol_lp.value) <= 1e-9 * (1 + abs(sol_lp.value))
-            # generic queries: same basis, same weights, same dual
-            if sol_dt.basis == sol_lp.basis:
-                assert np.allclose(sol_dt.weights, sol_lp.weights, atol=1e-9)
-                assert np.allclose(sol_dt.u, sol_lp.u, atol=1e-8)
+            assert sol_dt.basis == sol_lp.basis
+            np.testing.assert_allclose(sol_dt.weights, sol_lp.weights,
+                                       rtol=0, atol=1e-9)
+            np.testing.assert_allclose(sol_dt.u, sol_lp.u, rtol=1e-9,
+                                       atol=1e-9)
+
+
+def test_cvlq_step_at_an_edge_midpoint_moves_toward_a_delaunay_circumcentre():
+    # the LP's basis there holds a zero weight; its dual centre z* must
+    # still be the circumcentre of a Delaunay triangle on the edge
+    g = random_grid(np.random.default_rng(seed + 9), 20)
+    tri = triangulate(g)
+    P = g.points
+    for a, b in _edges(tri):
+        moved = cvlq_step(g, 0.5 * (P[a] + P[b]), 1.0).points
+        z = 2.0 * moved[a] - P[a]  # a moved halfway toward z*
+        centres = [circumcenter(P[list(t)])[0] for t in tri.triangles
+                   if a in t and b in t]
+        assert min(np.abs(z - c).max() for c in centres) <= 1e-9, (a, b)
 
 
 def test_each_triangle_is_an_optimality_region():

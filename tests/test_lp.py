@@ -1,9 +1,11 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, Delaunay
 
+from dualquant.batch import BatchSolver
 from dualquant.errors import BasisBudgetError, FlatGridError, InfeasibleError
 from dualquant.geometry import Grid, NormSpec, extended_matrix, in_convex_hull
 from dualquant.lp import (
@@ -167,6 +169,56 @@ def test_is_nondegenerate():
     assert not is_nondegenerate(square, [0.3, 0.3], S2)  # cocircular corners
     bent = Grid([[0, 0], [1, 0], [0, 1], [1.3, 1.1]])
     assert is_nondegenerate(bent, [0.3, 0.3], S2)
+    # a zero weight is degenerate, as BatchSolution.tied counts it
+    line = Grid([0.0, 0.3, 0.7, 1.0])
+    assert not is_nondegenerate(line, [0.3], S2)
+    assert BatchSolver(line, S2).solve(np.array([[0.3]])).tied[0]
+    assert is_nondegenerate(line, [0.4], S2)
+
+
+def _dual_test_grid(kind, d):
+    """A random, a product (3 per axis) or a ring grid (points on the
+    unit sphere and its centre) in d dimensions."""
+    rng = np.random.default_rng(seed + 11 * d)
+    if kind == "random":
+        return Grid(rng.uniform(size=(4 * d + 4, d)))
+    if kind == "product":
+        axis = np.linspace(0.0, 1.0, 3)
+        return Grid(np.stack(np.meshgrid(*[axis] * d), -1).reshape(-1, d))
+    ring = rng.normal(size=(4 * d + 4, d)) if d > 1 else np.array([[-1.0], [1.0]])
+    ring /= np.linalg.norm(ring, axis=1, keepdims=True)
+    return Grid(np.vstack([ring, np.zeros((1, d))]))
+
+
+def _edge_midpoints(grid):
+    """Midpoints of the Delaunay edges (neighbours, in 1D)."""
+    P = grid.points
+    if grid.dim == 1:
+        x = np.sort(P[:, 0])
+        return (0.5 * (x[1:] + x[:-1]))[:, None]
+    edges = {tuple(sorted(e)) for s in Delaunay(P).simplices
+             for e in combinations(s, 2)}
+    return np.array([0.5 * (P[a] + P[b]) for a, b in sorted(edges)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["random", "product", "ring"])
+def test_dual_is_feasible_on_degenerate_rows(kind, d):
+    # grid points and edge midpoints carry zero weights, where any
+    # completion of the support is primal feasible but only some are
+    # optimal: u must keep every reduced cost nonnegative
+    grid = _dual_test_grid(kind, d)
+    P = grid.points
+    queries = [P, _edge_midpoints(grid)]
+    if d == 1:  # just inside and past the ends, within the LP's tolerance
+        lo, hi, span = P.min(), P.max(), np.ptp(P)
+        queries.append(np.array([[lo], [hi], [lo - 1e-12 * span],
+                                 [hi + 1e-12 * span]]))
+    for xi in np.vstack(queries):
+        sol = local_dq_solve(grid, xi, S2)
+        c = np.sum((P - xi) ** 2, axis=1)
+        reduced = c - (P @ sol.u_spatial + sol.u_affine)
+        assert reduced.min() >= -1e-9 * c.max(), (xi, sol.basis)
 
 
 @pytest.mark.parametrize("s, c", [(1e-6, 0.0), (1e6, 0.0), (1.0, 1e6), (1e-6, 1.0)])

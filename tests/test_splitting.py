@@ -164,7 +164,9 @@ def test_1d_ends_and_grid_points_take_the_lp():
                                                    g.points[list(ref.basis)]))
         assert interpolate(g, lambda p: 1 + p[0], xi, S2) == want
         assert BatchSolver(g, S2).values(xi[None])[0] == ref.value
-    assert split(g, np.array([1 + 1e-12]), S2, RngStream(3)).basis == (0, 2)
+    # the optimal basis at the end: (0, 2) carries the same weights, but
+    # its dual line passes above the cost of point 1
+    assert split(g, np.array([1 + 1e-12]), S2, RngStream(3)).basis == (1, 2)
     past = np.array([1 + 1e-8])  # past the LP's tolerance
     with pytest.raises(InfeasibleError):
         split(g, past, S2, RngStream(3))
