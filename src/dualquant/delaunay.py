@@ -18,9 +18,10 @@ toward the diagonal with the lexicographically smallest sorted index
 pair, by a tolerance-aware in-circle predicate in the caller's
 coordinates; the triangulation is deterministic for a fixed point order.
 
-The walk of ``batch_solve`` over a ``Triangulation``, with an edge
-slack relative to the grid's diameter, serves only ``batch_solve``,
-``locate`` and ``hull_mask``; no solve reads it.
+``batch_solve`` locates rows in a ``Triangulation`` by testing every
+triangle, with an edge slack relative to the grid's diameter, and gives
+the lowest-indexed triangle that holds a row; it serves only ``locate``
+and ``hull_mask``, and no solve or estimator reads it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .lp import LocalSolution
 COCIRCULAR_EPS = 1e-12
 # Edge containment slack for location, relative to the grid's diameter.
 EDGE_TOL = 1e-9
+# Row-edge pairs per block of batch_solve: 512 KiB per temporary.
+LOCATE_BLOCK = 2 ** 16
 QHULL_OPTIONS = "Qbb Qc Qz Q12"
 # Rows reach Qhull's walk in bucket order only in a batch of at least
 # SORT_MIN_ROWS rows, on a mesh with at least SORT_MIN_BUCKETS buckets per
@@ -191,9 +194,8 @@ class Triangulation:
     ``neighbors[t][k]`` is the triangle across the edge opposite vertex
     k of triangle t, or -1 on the hull boundary.  The triangle list is
     sorted lexicographically, so indices are canonical for the input.
-    ``grid`` is the grid it triangulates, ``mesh`` the Qhull mesh it
-    came from, and ``starts`` holds per Qhull simplex a canonical
-    triangle to walk from.
+    ``grid`` is the grid it triangulates and ``mesh`` the Qhull mesh it
+    came from.
     """
 
     points: np.ndarray
@@ -201,22 +203,10 @@ class Triangulation:
     neighbors: list[tuple[int, int, int]]
     grid: Grid = field(repr=False, compare=False)
     mesh: Mesh = field(repr=False, compare=False)
-    starts: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    @cached_property
-    def _walk(self):
-        """The walk's tables, built once: triangle and neighbour arrays,
-        the edge table, and twin[t, k], the flat edge of neighbour
-        nbrs[t, k] that faces t."""
-        tris, nbrs = np.asarray(self.triangles), np.asarray(self.neighbors)
-        own = np.arange(len(tris))[:, None, None]
-        back = np.argmax(nbrs[nbrs] == own, axis=2)
-        return (tris, nbrs, _edge_table(self.points, tris, self.mesh.span),
-                np.where(nbrs >= 0, 3 * nbrs + back, -1))
 
 
 def _canonical_triangles(P, tris):
@@ -249,30 +239,10 @@ def triangulate(grid: Grid) -> Triangulation:
         raise ValueError("triangulate expects a two-dimensional grid")
     pts = grid.points
     mesh = Mesh(pts)
-    simplices = mesh.qhull.simplices
     tris, nbrs = _resolve_cocircular_diagonals(
-        pts, *_canonical_triangles(pts, simplices))
+        pts, *_canonical_triangles(pts, mesh.qhull.simplices))
     return Triangulation(pts, list(map(tuple, tris.tolist())),
-                         list(map(tuple, nbrs.tolist())), grid, mesh,
-                         _walk_starts(simplices, tris, len(pts)))
-
-
-def _walk_starts(simplices, tris, n):
-    """Per Qhull simplex, the canonical triangle with the same vertices;
-    a simplex the cocircular pass flipped away maps to a triangle at its
-    first vertex, a few steps from its own."""
-    def keys(t):
-        t = np.sort(t, axis=1)
-        return (t[:, 0] * n + t[:, 1]) * n + t[:, 2]
-
-    ours = keys(tris)
-    order = np.argsort(ours)
-    theirs = keys(simplices)
-    pos = np.minimum(np.searchsorted(ours[order], theirs), len(ours) - 1)
-    at_vertex = np.empty(n, dtype=np.intp)
-    at_vertex[tris.ravel()] = np.repeat(np.arange(len(tris)), 3)
-    return np.where(ours[order[pos]] == theirs, order[pos],
-                    at_vertex[simplices[:, 0]])
+                         list(map(tuple, nbrs.tolist())), grid, mesh)
 
 
 def _resolve_cocircular_diagonals(P, tris, nbrs):
@@ -341,9 +311,6 @@ def dq_solve_delaunay(grid: Grid, tri: Triangulation, xi, spec: NormSpec) -> Loc
                          np.concatenate([u1, [u2]]), value)
 
 
-# --- vectorized evaluation ---------------------------------------------------
-
-
 def hull_mask(tri: Triangulation, X) -> np.ndarray:
     """Boolean mask of rows of X inside (or on) the hull of the points:
     the rows that ``batch_solve`` locates in a triangle."""
@@ -359,87 +326,38 @@ def batch_values(tri: Triangulation, X) -> np.ndarray:
     return solver.values(np.asarray(X, dtype=float))
 
 
-def _edge_table(P, tris, span):
-    """Edge k of triangle t, opposite its vertex k and directed CCW, is
-    the flat edge 3t + k; per flat edge: start point, vector, and the
-    containment slack, EDGE_TOL times the grid's diameter ``span``
-    times the edge's L1 length, so it does not depend on units or origin."""
-    a = P[tris[:, [1, 2, 0]]].reshape(-1, 2)
-    e = P[tris[:, [2, 0, 1]]].reshape(-1, 2) - a
-    slack = EDGE_TOL * span * (np.abs(e[:, 0]) + np.abs(e[:, 1]))
-    return a[:, 0], a[:, 1], e[:, 0], e[:, 1], slack
-
-
-def _edges_hold(table, X, edges) -> np.ndarray:
-    """Flags shaped like ``edges`` (m, k): row r of X is on the inner
-    side of flat edge edges[r, j], within the edge's slack."""
-    ax, ay, ex, ey, slack = (col[edges] for col in table)
-    x, y = X[:, :1], X[:, 1:]
-    return ex * (y - ay) - ey * (x - ax) >= -slack
-
-
-def _locate_rows(tri, X) -> np.ndarray:
-    """The containing triangle of every row of X; -1 where the walk
-    leaves the mesh through a boundary edge."""
-    tris, nbrs, table, twin = tri._walk
-    T = len(tris)
-    own = 3 * np.arange(T)[:, None] + np.arange(3)
-    t = np.zeros(len(X), dtype=np.intp)
-    s = tri.mesh.find(X - tri.mesh.center)
-    t[s >= 0] = tri.starts[s[s >= 0]]
-
-    # the walk, all rows at once: cross the first violated edge, testing
-    # (i, j), (j, k), (k, i) in turn
-    live = np.arange(len(X))
-    for _ in range(4 * T + 8):
-        if live.size == 0:
-            break
-        held = _edges_hold(table, X[live], own[t[live]])[:, [2, 0, 1]]
-        moving = ~held.all(axis=1)
-        k = (np.argmin(held, axis=1)[moving] + 2) % 3
-        live = live[moving]
-        t[live] = nbrs[t[live], k]
-        live = live[t[live] >= 0]
-    t[live] = -1
-
-    # ties: a neighbor can contain a row only if the row holds on its
-    # side of the shared edge; rows where one does search outward
-    # through the triangles containing them and keep the lowest index
-    hit = np.flatnonzero(t >= 0)
-    near = _edges_hold(table, X[hit], np.maximum(twin[t[hit]], 0))
-    near &= twin[t[hit]] >= 0
-    front_r = hit[near.any(axis=1)]
-    front_t = t[front_r]
-    seen = front_r * T + front_t
-    while front_r.size:
-        r, c = np.repeat(front_r, 3), nbrs[front_t].ravel()
-        key = r * T + c
-        fresh = (c >= 0) & ~np.isin(key, seen)
-        key, first = np.unique(key[fresh], return_index=True)
-        r, c = r[fresh][first], c[fresh][first]
-        seen = np.concatenate([seen, key])
-        holds = _edges_hold(table, X[r], own[c]).all(axis=1)
-        front_r, front_t = r[holds], c[holds]
-        np.minimum.at(t, front_r, front_t)
-    return t
-
-
 def batch_solve(tri: Triangulation, X):
     """Containing triangle and barycentric weights for each row of X.
 
-    Returns (tidx, lam): tidx[i] == -1 marks exterior rows (lam zero),
-    those whose walk leaves the mesh through a boundary edge.  Qhull's
-    ``find_simplex`` gives each row a start, and a row on shared edges or
-    vertices resolves to the lowest-indexed triangle containing it.
-    Every row is solved on its own: the result for a row does not depend
-    on the other rows of X.
+    Returns (tidx, lam).  tidx[i] is the lowest-indexed triangle of
+    ``tri.triangles`` whose three edges all hold row i: the row lies on
+    the edge's inner side within its slack, ``EDGE_TOL`` times the grid's
+    diameter ``mesh.span`` times the edge's L1 length, in the mesh's
+    centred coordinates.  tidx[i] == -1 (lam zero) marks a row no
+    triangle holds.  A row held only within the slack of edge k, the
+    edge opposite vertex k of (a, b, c), can get lam[i, k] down to
+    -slack_k / orient2d(a, b, c).  Every row is tested against every
+    triangle, in blocks of rows, so a call costs O(rows x triangles),
+    and the result for a row does not depend on the other rows of X.
     """
     X = np.asarray(X, dtype=float)
-    P, tris = tri.points, tri._walk[0]
-    tidx = np.empty(X.shape[0], dtype=np.intp)
-    # blocks of rows bound the walk's temporaries at a few megabytes
-    for start in range(0, X.shape[0], 4096):
-        tidx[start:start + 4096] = _locate_rows(tri, X[start:start + 4096])
+    P, mesh = tri.points, tri.mesh
+    tris = np.asarray(tri.triangles, dtype=np.intp)
+    T, tidx = len(tris), np.empty(X.shape[0], dtype=np.intp)
+    # edge k of triangle t, opposite its vertex k and directed CCW, is
+    # column k T + t: origin o, vector e, and minus its slack
+    o = mesh.Pc[tris[:, [1, 2, 0]].T].reshape(-1, 2)
+    e = mesh.Pc[tris[:, [2, 0, 1]].T].reshape(-1, 2) - o
+    floor = -EDGE_TOL * mesh.span * (np.abs(e[:, 0]) + np.abs(e[:, 1]))
+    Xc, step = X - mesh.center, max(1, LOCATE_BLOCK // (3 * T))
+    for start in range(0, X.shape[0], step):
+        x, y = Xc[start:start + step, :1], Xc[start:start + step, 1:]
+        side = (y - o[:, 1]) * e[:, 0]
+        side -= (x - o[:, 0]) * e[:, 1]
+        held = side >= floor
+        held = held[:, :T] & held[:, T:2 * T] & held[:, 2 * T:]
+        tidx[start:start + step] = np.where(held.any(axis=1),
+                                            np.argmax(held, axis=1), -1)
     rows = np.flatnonzero(tidx >= 0)
     a, b, c = (P[tris[tidx[rows], k]].T for k in range(3))
     x = X[rows].T

@@ -2,10 +2,11 @@
 
 The mesh and the drawing of a seeded grid are pinned by digest,
 location in a batch follows ``locate``'s tie rule and does not depend on
-the other rows, the mesh, the located triangles, the hull test, the
-values and the spatial duals do not depend on units or origin, the hull
-test agrees with LP feasibility, the walk's tables are built once per
-triangulation, and degenerate input raises a typed error.
+the other rows or on the blocks a batch is cut into, weights keep above
+the floor the edge slack allows, the mesh, the located triangles, the
+hull test, the values and the spatial duals do not depend on units or
+origin, the hull test agrees with LP feasibility, and degenerate input
+raises a typed error.
 """
 
 import hashlib
@@ -17,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualquant import delaunay
-from dualquant.delaunay import (batch_solve, batch_values, dq_solve_delaunay,
-                                hull_mask, locate, triangulate)
+from dualquant.delaunay import (EDGE_TOL, batch_solve, batch_values,
+                                dq_solve_delaunay, hull_mask, locate,
+                                orient2d, triangulate)
 from dualquant.errors import FlatGridError
 from dualquant.geometry import EUCLIDEAN_QUADRATIC, Grid, in_convex_hull
 from dualquant.metrics import product_grid
@@ -127,14 +129,35 @@ def test_batch_solve_rows_are_independent(points):
     tri = triangulate(Grid(points))
     lo, hi = points.min(axis=0), points.max(axis=0)
     rng = np.random.default_rng(7)
-    X = np.vstack([rng.uniform(lo - 0.1, hi + 0.1, size=(300, 2)),
+    step = delaunay.LOCATE_BLOCK // (3 * tri.n_triangles)  # rows per block
+    X = np.vstack([rng.uniform(lo - 0.1, hi + 0.1,
+                               size=(max(300, 2 * step), 2)),
                    grid_and_edge_points(tri)[::3]])
     X = X[rng.permutation(len(X))]
+    assert len(X) > 2 * step  # so the seams between blocks are crossed
     tidx, lam = batch_solve(tri, X)
     for i in range(len(X)):
         t1, l1 = batch_solve(tri, X[i:i + 1])
         assert t1[0] == tidx[i]
         assert np.array_equal(l1[0], lam[i])
+
+
+def test_weights_keep_above_the_slack_floor():
+    # ring256's grid and edge points pushed 1e-6 away from the centroid:
+    # rows on the hull leave it, and some rows are held only within the
+    # slack of a small triangle's edge, so their weight goes negative
+    points = ring_points()
+    tri = triangulate(Grid(points))
+    X = grid_and_edge_points(tri)
+    tidx, lam = batch_solve(tri, X + 1e-6 * (X - points.mean(axis=0)))
+    inside = tidx >= 0
+    a, b, c = (points[np.asarray(tri.triangles)[tidx[inside], k]]
+               for k in range(3))
+    edges = np.stack([c - b, a - c, b - a], axis=1)  # opposite a, b, c
+    slack = EDGE_TOL * tri.mesh.span * np.abs(edges).sum(axis=2)
+    floor = -slack / orient2d(*a.T, *b.T, *c.T)[:, None]
+    assert lam[inside].min() < 0.0
+    assert np.all(lam[inside] >= floor - 1e-12)
 
 
 @pytest.mark.parametrize("points", [random_points(), ring_points(),
@@ -231,17 +254,6 @@ def test_values_and_duals_do_not_depend_on_units_or_origin(name, scale,
     diameter = np.linalg.norm(np.ptp(points, axis=0))
     np.testing.assert_allclose(u, scale * np.array(u_ref), rtol=0,
                                atol=1e-4 * scale * diameter)
-
-
-def test_walk_tables_are_built_once(monkeypatch):
-    tri = triangulate(Grid(random_points()))
-    calls = []
-    edge_table = delaunay._edge_table
-    monkeypatch.setattr(delaunay, "_edge_table",
-                        lambda *args: calls.append(args) or edge_table(*args))
-    X = random_points(3) * 1.2 - 0.1
-    assert np.array_equal(batch_solve(tri, X)[0], batch_solve(tri, X)[0])
-    assert len(calls) == 1
 
 
 def test_collinear_grid_raises_typed_error():

@@ -1,8 +1,8 @@
 """Import hygiene, in place of a linter: every name a package module
 imports is used in that module or exported through its ``__all__``,
 every top-level name is read somewhere in the package or timed by the
-benchmark, and only ``delaunay`` imports Qhull's Delaunay mesh
-builder."""
+benchmark, only ``delaunay`` imports Qhull's Delaunay mesh builder, and
+no other module calls its O(rows x triangles) planar locator."""
 
 import ast
 from pathlib import Path
@@ -89,3 +89,16 @@ def test_only_delaunay_builds_meshes():
         if isinstance(node, ast.ImportFrom) and node.module == "scipy.spatial"
         and {"Delaunay", "QhullError"} & {alias.name for alias in node.names}}
     assert importers == {"delaunay.py"}
+
+
+def test_no_module_calls_the_planar_locator():
+    # batch_solve tests every triangle per row, which only a caller
+    # outside the solves (perfbench's layer timings) may afford
+    locator = {"batch_solve", "locate", "hull_mask"}
+    callers = {
+        path.name for path in SRC.glob("*.py") if path.name != "delaunay.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in locator}
+    assert sorted(callers) == []
