@@ -41,7 +41,7 @@ print(f"  circumcenter    {np.round(z, 6)}")
 print(f"  xi + u1/2       {np.round(sol.z_star(), 6)}  (same point)")
 
 # the triangulation fast path gives the same value without an LP
-fast = dq_solve_delaunay(grid, tri, xi, EUCLIDEAN_QUADRATIC)
+fast = dq_solve_delaunay(grid, xi, EUCLIDEAN_QUADRATIC)
 print(f"\nfast path value {fast.value:.8f} "
       f"(|difference| {abs(fast.value - sol.value):.2e})")
 
@@ -50,7 +50,7 @@ worst = 0.0
 for _ in range(200):
     w = rng.dirichlet(np.ones(grid.n))
     q = w @ grid.points
-    a = dq_solve_delaunay(grid, tri, q, EUCLIDEAN_QUADRATIC).value
+    a = dq_solve_delaunay(grid, q, EUCLIDEAN_QUADRATIC).value
     b = local_dq_solve(grid, q, EUCLIDEAN_QUADRATIC).value
     worst = max(worst, abs(a - b))
 print(f"worst |fast - LP| over 200 queries: {worst:.2e}")

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec, load_grid, save_grid
 from .lp import (
-    ExtendedValue,
     LocalSolution,
     local_dq_solve,
     local_dq_value,

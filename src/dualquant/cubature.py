@@ -221,8 +221,7 @@ def second_order_report(grid: Grid, dist: DistributionSpec, spec: NormSpec,
                               n_samples, rng, extended, chunk, threads)[1]
 
 
-def convex_dominance_check(grid: Grid, F, test_points,
-                           spec: NormSpec = EUCLIDEAN_QUADRATIC) -> bool:
+def convex_dominance_check(grid: Grid, F, test_points) -> bool:
     """True iff barycentric interpolation dominates F at every test point.
 
     For convex F the interpolant lies above F inside the hull (equality
@@ -235,7 +234,7 @@ def convex_dominance_check(grid: Grid, F, test_points,
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
         raise ValueError(f"test points must have shape (n, {grid.dim})")
-    sol = BatchSolver(grid, spec, extended=True).solve(pts)
+    sol = BatchSolver(grid, EUCLIDEAN_QUADRATIC, extended=True).solve(pts)
     if np.any(sol.nearest >= 0):
         raise InfeasibleError("query point lies outside the convex hull of the grid")
     used = np.unique(sol.basis)

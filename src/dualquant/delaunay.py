@@ -289,10 +289,10 @@ def locate(tri: Triangulation, xi) -> int | None:
     return None if t < 0 else int(t)
 
 
-def dq_solve_delaunay(grid: Grid, tri: Triangulation, xi, spec: NormSpec) -> LocalSolution:
+def dq_solve_delaunay(grid: Grid, xi, spec: NormSpec) -> LocalSolution:
     """Local solution at xi (l2, p = 2): the one-row answer of
     ``BatchSolver.solve`` on ``grid``, ties included, with u2 from the
-    basis.  ``tri`` is kept for compatibility and is not read."""
+    basis."""
     from .batch import BatchSolver  # batch imports this module
 
     if not spec.is_euclidean_quadratic:

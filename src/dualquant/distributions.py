@@ -1,13 +1,14 @@
 """Sampling targets with optional exact one-dimensional analytics.
 
 A DistributionSpec bundles a seeded sampler with the support box (when
-bounded) and, in one dimension, closed-form cdf / pdf / partial moments
-/ quantiles so that training and error evaluation can run without Monte
+bounded) and, in one dimension, closed-form pdf / partial moments /
+quantiles so that training and error evaluation can run without Monte
 Carlo.  Partial moments are ordinary truncated power moments:
 
     partial_moment(k, a, b) = E[X^k ; a <= X <= b],  k in {0, 1, 2},
 
-which is 0 when b <= a.  ``cdf``, ``pdf`` and ``partial_moment`` take
+which is 0 when b <= a; the distribution function is
+``partial_moment(0, -inf, x)``.  ``pdf`` and ``partial_moment`` take
 scalars or arrays: ``a`` and ``b`` broadcast against each other, bounds
 may be +-inf, and scalar arguments give a Python float back.
 """
@@ -31,13 +32,13 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 class Analytics1D:
     """Closed forms of a 1D law.
 
-    ``cdf(x)``, ``pdf(x)`` and ``partial_moment(k, a, b)`` work
-    elementwise on arrays (``a`` and ``b`` broadcast) and return a float
-    for scalar arguments; infinite bounds are exact limits and raise no
-    floating-point warning.  ``quantile(q)`` takes a scalar.
+    ``pdf(x)`` and ``partial_moment(k, a, b)`` work elementwise on
+    arrays (``a`` and ``b`` broadcast) and return a float for scalar
+    arguments; infinite bounds are exact limits and raise no
+    floating-point warning.  The distribution function at x is
+    ``partial_moment(0, -inf, x)``.  ``quantile(q)`` takes a scalar.
     """
 
-    cdf: Callable[[ArrayLike], float | np.ndarray]
     pdf: Callable[[ArrayLike], float | np.ndarray]
     partial_moment: Callable[[int, ArrayLike, ArrayLike], float | np.ndarray]
     quantile: Callable[[float], float]
@@ -92,9 +93,6 @@ def make_uniform_box(lo, hi, name: str | None = None) -> DistributionSpec:
         a0, b0 = float(lo[0]), float(hi[0])
         h = b0 - a0
 
-        def cdf(x):
-            return _out(np.clip(np.subtract(x, a0) / h, 0.0, 1.0))
-
         def pdf(x):
             x = np.asarray(x, dtype=float)
             return _out(np.where((a0 <= x) & (x <= b0), 1.0 / h, 0.0))
@@ -108,7 +106,7 @@ def make_uniform_box(lo, hi, name: str | None = None) -> DistributionSpec:
         def quantile(q: float) -> float:
             return a0 + q * h
 
-        analytics = Analytics1D(cdf, pdf, partial_moment, quantile)
+        analytics = Analytics1D(pdf, partial_moment, quantile)
 
     if name is None:
         if dim == 1:
@@ -138,9 +136,6 @@ def make_normal(mu: float = 0.0, sigma: float = 1.0, dim: int = 1,
             # overflow out of the formulas.
             return np.clip(np.subtract(x, mu) / sigma, -40.0, 40.0)
 
-        def cdf(x):
-            return _out(ndtr(z(x)))
-
         def pdf(x):
             return _out(_phi(z(x)) / sigma)
 
@@ -158,7 +153,7 @@ def make_normal(mu: float = 0.0, sigma: float = 1.0, dim: int = 1,
         def quantile(q: float) -> float:
             return mu + sigma * float(ndtri(q))
 
-        analytics = Analytics1D(cdf, pdf, partial_moment, quantile)
+        analytics = Analytics1D(pdf, partial_moment, quantile)
 
     if name is None:
         name = f"normal:{mu},{sigma}" if dim == 1 else f"normal-{dim}d"
@@ -173,9 +168,6 @@ def make_exponential(lam: float, name: str | None = None) -> DistributionSpec:
 
     def sampler(rng: RngStream, n: int) -> np.ndarray:
         return rng.generator.exponential(scale=1.0 / lam, size=(n, 1))
-
-    def cdf(x):
-        return _out(1.0 - _g(0, x))
 
     def pdf(x):
         return _out(lam * _g(0, x) * np.greater_equal(x, 0.0))
@@ -199,7 +191,7 @@ def make_exponential(lam: float, name: str | None = None) -> DistributionSpec:
     def quantile(q: float) -> float:
         return -math.log1p(-q) / lam
 
-    analytics = Analytics1D(cdf, pdf, partial_moment, quantile)
+    analytics = Analytics1D(pdf, partial_moment, quantile)
     support = (np.array([0.0]), np.array([math.inf]))
     return DistributionSpec(name or f"exponential:{lam}", 1, sampler, support, analytics)
 

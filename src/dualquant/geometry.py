@@ -198,7 +198,8 @@ def save_grid(grid: Grid, path, meta: dict | None = None) -> None:
 
 
 def load_grid(path) -> tuple[Grid, dict]:
-    """Read a grid file; returns (grid, meta). CSV files have empty meta."""
+    """Read a grid file; returns (grid, meta). CSV files have empty meta.
+    Points that ``Grid`` rejects raise GridFormatError naming the file."""
     path = Path(path)
     if not path.exists():
         raise GridFormatError(f"grid file not found: {path}")
@@ -215,9 +216,8 @@ def load_grid(path) -> tuple[Grid, dict]:
             pts = pts[:, None]
         if pts.shape != (int(doc["n"]), int(doc["dim"])):
             raise GridFormatError("grid JSON dim/n do not match the points array")
-        grid = Grid(pts, doc.get("pinned", ()))
-        return grid, dict(doc.get("meta", {}))
-    if path.suffix.lower() == ".csv":
+        pinned, meta = doc.get("pinned", ()), dict(doc.get("meta", {}))
+    elif path.suffix.lower() == ".csv":
         rows = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -232,5 +232,10 @@ def load_grid(path) -> tuple[Grid, dict]:
                     raise GridFormatError(f"non-numeric CSV row {i}: {row!r}")
         if not rows:
             raise GridFormatError("empty CSV grid file")
-        return Grid(np.asarray(rows)), {}
-    raise GridFormatError(f"unsupported grid file extension: {path.suffix!r}")
+        pts, pinned, meta = np.asarray(rows), (), {}
+    else:
+        raise GridFormatError(f"unsupported grid file extension: {path.suffix!r}")
+    try:
+        return Grid(pts, pinned), meta
+    except (ValueError, DegenerateGeometryError) as exc:
+        raise GridFormatError(f"grid file {path}: {exc}") from exc

@@ -60,17 +60,6 @@ class LocalSolution:
         return self.xi + 0.5 * self.u_spatial
 
 
-@dataclass(frozen=True)
-class ExtendedValue:
-    """Everywhere-defined local error: LP value inside the hull,
-    nearest-point power distance outside."""
-
-    value: float
-    mode: str  # "interior" or "exterior"
-    solution: LocalSolution | None
-    nn_index: int | None
-
-
 def _unit_program(grid: Grid, xi: np.ndarray, c: np.ndarray):
     """The local LP in the grid's own units: constraints from unit_frame
     and costs divided by the largest (positive for a spanning grid).  The
@@ -162,16 +151,14 @@ def local_dq_value(grid: Grid, xi, spec: NormSpec) -> float:
     return local_dq_solve(grid, xi, spec).value
 
 
-def local_dq_value_extended(grid: Grid, xi, spec: NormSpec) -> ExtendedValue:
-    """Local error extended beyond the hull by nearest-point projection."""
+def local_dq_value_extended(grid: Grid, xi, spec: NormSpec) -> float:
+    """Local error extended beyond the hull: the LP value inside it, the
+    nearest grid point's p-th power distance outside."""
     xi = np.asarray(xi, dtype=float)
     try:
-        sol = local_dq_solve(grid, xi, spec)
-        return ExtendedValue(sol.value, "interior", sol, None)
+        return local_dq_solve(grid, xi, spec).value
     except InfeasibleError:
-        dists = norm_value_batch(xi[None, :] - grid.points, spec)
-        j = int(np.argmin(dists))
-        return ExtendedValue(float(dists[j]), "exterior", None, j)
+        return float(np.min(_costs(grid, xi, spec)))
 
 
 def enumerate_bases_oracle(grid: Grid, xi, spec: NormSpec, budget: int = 2_000_000) -> float:

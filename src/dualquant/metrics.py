@@ -139,15 +139,14 @@ def _sorted_1d(grid: Grid, dist: DistributionSpec | None = None,
     return order, xs
 
 
-def exact_1d_dq_error(grid: Grid, dist: DistributionSpec, p: float = 2,
+def exact_1d_dq_error(grid: Grid, dist: DistributionSpec,
                       extended: bool = False) -> float:
-    """Exact mean dual quantization error power for a 1D grid in any order.
+    """Exact mean dual quantization error power (p = 2) for a 1D grid in
+    any order.
 
     Integrates (xi - x_i)(x_{i+1} - xi) over each segment via partial
     moments; only the quadratic case reduces to moments this way.
     """
-    if p != 2:
-        raise ValueError("only p=2 has a partial-moment reduction")
     _, xs = _sorted_1d(grid, dist, compact=not extended)
     pm = dist.analytics.partial_moment
     a, b = xs[:-1], xs[1:]
@@ -165,11 +164,9 @@ def _spread(ana, x, a, b):
     return pm(2, a, b) - 2.0 * x * pm(1, a, b) + x * x * pm(0, a, b)
 
 
-def exact_1d_voronoi_error(grid: Grid, dist: DistributionSpec,
-                           p: float = 2) -> float:
-    """Exact nearest-neighbour error power with midpoint cell borders."""
-    if p != 2:
-        raise ValueError("only p=2 has a partial-moment reduction")
+def exact_1d_voronoi_error(grid: Grid, dist: DistributionSpec) -> float:
+    """Exact nearest-neighbour error power (p = 2) with midpoint cell
+    borders."""
     _, xs = _sorted_1d(grid, dist)
     borders = np.concatenate(([-math.inf], (xs[:-1] + xs[1:]) / 2.0,
                               [math.inf]))

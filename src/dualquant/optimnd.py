@@ -22,7 +22,8 @@ import numpy as np
 
 from .batch import BatchSolver, shard_reduce
 from .distributions import DistributionSpec
-from .errors import FlatGridError, InfeasibleError, NonDifferentiableError
+from .errors import (DegenerateGeometryError, FlatGridError, InfeasibleError,
+                     NonDifferentiableError)
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec, _affinely_independent
 from .lp import local_dq_solve
 from .metrics import DEFAULT_CHUNK, mc_dq_error
@@ -127,6 +128,9 @@ def train(dist: DistributionSpec, n: int, config: TrainConfig) -> TrainReport:
         raise ValueError("need at least d+1 points")
     if any(len(a) != d for a in config.anchors):
         raise ValueError(f"every anchor needs d = {d} coordinates")
+    for i, a in enumerate(config.anchors):
+        if a in config.anchors[:i]:
+            raise ValueError(f"anchor {a} is repeated; anchors must be distinct")
     anchors = np.asarray(config.anchors, dtype=float).reshape(-1, d)
     if len(anchors) > n:
         raise ValueError("more anchors than grid points")
@@ -265,7 +269,7 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
 
 
 def refine(grid: Grid, dist: DistributionSpec, iters: int = 5,
-           mc_samples: int = 50_000, rng: RngStream | None = None) -> Grid:
+           mc_samples: int = 50_000, *, rng: RngStream) -> Grid:
     """Descend a fixed-seed MC estimate of the extended error power
     (Euclidean norm, p = 2).
 
@@ -273,12 +277,11 @@ def refine(grid: Grid, dist: DistributionSpec, iters: int = 5,
     decreases, so the result never scores worse than the input on that
     fixed sample set.  That set is drawn once per call and held for every
     evaluation of the objective (``mc_samples`` * d * 8 bytes), read only.
-    Pinned points stay put.
+    A trial step that collapses two points counts as failed and halves
+    the step.  Pinned points stay put.
     """
     if iters < 0 or mc_samples < 2:
         raise ValueError("bad refine settings")
-    if rng is None:
-        rng = RngStream(0)
     free = np.array([i not in grid.pinned for i in range(grid.n)])
     if iters == 0 or not free.any():
         return grid
@@ -312,7 +315,7 @@ def refine(grid: Grid, dist: DistributionSpec, iters: int = 5,
             try:
                 trial = grid.with_points(grid.points - step * g)
                 val = objective(trial)
-            except ValueError:
+            except (ValueError, DegenerateGeometryError):
                 val = np.inf  # step collapsed two points; shrink
             if val < current:
                 grid, current, accepted = trial, val, True

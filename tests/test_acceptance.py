@@ -122,7 +122,7 @@ def test_04_triangulation_fast_path_equals_lp():
         for _ in range(200):
             w = rng.dirichlet(np.ones(30))
             xi = w @ grid.points
-            fast = dq_solve_delaunay(grid, tri, xi, S2).value
+            fast = dq_solve_delaunay(grid, xi, S2).value
             slow = local_dq_value(grid, xi, S2)
             dev = abs(fast - slow)
             worst = max(worst, dev)

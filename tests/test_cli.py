@@ -427,6 +427,31 @@ def test_eval_exact_records_have_no_sampling(tmp_path, capsys):
         assert (rec["p"], rec["norm"]) == (2.0, "l2")
 
 
+def test_trainnd_repeated_pins_are_usage_errors(capsys):
+    code, _, err = run(capsys, "trainnd", "--dist", "uniform2d", "--pin",
+                       "0,0;0,0;1,1", "--n", "8", "--steps", "50",
+                       "--samples", "500")
+    assert code == 2
+    assert "anchor (0.0, 0.0) is repeated" in err
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+@pytest.mark.parametrize("bad", [[1.0, 0.0], [float("nan"), 0.5]],
+                         ids=["repeated", "non-finite"])
+def test_eval_grid_file_with_points_grid_rejects_is_a_usage_error(
+        tmp_path, capsys, suffix, bad):
+    points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], bad]
+    path = tmp_path / f"g{suffix}"
+    if suffix == ".json":
+        path.write_text(json.dumps({"dim": 2, "n": 4, "points": points}))
+    else:
+        path.write_text("x0,x1\n" + "".join(f"{x},{y}\n" for x, y in points))
+    code, _, err = run(capsys, "eval", "--grid", str(path), "--dist",
+                       "uniform2d", "--samples", "500")
+    assert code == 2
+    assert f"error: grid file {path}:" in err
+
+
 @pytest.mark.parametrize("pin", ["0,0,0;1,1,1", "0,0;1"])
 def test_trainnd_pins_of_the_wrong_dimension_are_usage_errors(capsys, pin):
     code, _, err = run(capsys, "trainnd", "--dist", "uniform2d", "--pin",

@@ -144,9 +144,9 @@ def test_fast_path_matches_lp():
                 sol_lp = local_dq_solve(g, xi, S2)
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
-                    dq_solve_delaunay(g, tri, xi, S2)
+                    dq_solve_delaunay(g, xi, S2)
                 continue
-            sol_dt = dq_solve_delaunay(g, tri, xi, S2)
+            sol_dt = dq_solve_delaunay(g, xi, S2)
             assert abs(sol_dt.value - sol_lp.value) <= 1e-9 * (1 + abs(sol_lp.value))
             assert sol_dt.basis == sol_lp.basis
             np.testing.assert_allclose(sol_dt.weights, sol_lp.weights,

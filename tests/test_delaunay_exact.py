@@ -247,9 +247,9 @@ def test_values_and_duals_do_not_depend_on_units_or_origin(name, scale,
     ref = batch_values(unit, X)
     np.testing.assert_allclose(batch_values(moved, Xm), scale ** 2 * ref,
                                rtol=0, atol=1e-4 * scale ** 2 * ref.max())
-    u = [dq_solve_delaunay(grid, moved, x, EUCLIDEAN_QUADRATIC).u_spatial
+    u = [dq_solve_delaunay(grid, x, EUCLIDEAN_QUADRATIC).u_spatial
          for x in Xm]
-    u_ref = [dq_solve_delaunay(Grid(points), unit, x,
+    u_ref = [dq_solve_delaunay(Grid(points), x,
                                EUCLIDEAN_QUADRATIC).u_spatial for x in X]
     diameter = np.linalg.norm(np.ptp(points, axis=0))
     np.testing.assert_allclose(u, scale * np.array(u_ref), rtol=0,

@@ -1,8 +1,10 @@
 """Import hygiene, in place of a linter: every name a package module
 imports is used in that module or exported through its ``__all__``,
 every top-level name is read somewhere in the package or timed by the
-benchmark, only ``delaunay`` imports Qhull's Delaunay mesh builder, and
-no other module calls its O(rows x triangles) planar locator."""
+benchmark, every parameter of a package function but ``self`` and
+``cls`` is read in that function's body, only ``delaunay`` imports
+Qhull's Delaunay mesh builder, and no other module calls its
+O(rows x triangles) planar locator."""
 
 import ast
 from pathlib import Path
@@ -79,6 +81,22 @@ def test_every_top_level_name_is_read(path):
     timed = set(_spans().get(path.stem, ()))
     dead = set(_defined(ast.parse(path.read_text()))) - read - timed
     assert sorted(dead) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                  + [a.vararg, a.kwarg] if p is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{fn.name}({name})" for name in params
+                   if name not in read and name not in ("self", "cls")]
+    assert unread == []
 
 
 def test_only_delaunay_builds_meshes():

@@ -83,8 +83,6 @@ def test_exact_dual_error_rejects_bad_input():
         exact_1d_dq_error(Grid([0.2, 0.8]), U01)
     with pytest.raises(ValueError):
         exact_1d_dq_error(Grid([0.0, 1.0]), make_normal())
-    with pytest.raises(ValueError):
-        exact_1d_dq_error(Grid([0.0, 1.0]), U01, p=3)
 
 
 def test_closed_forms_take_any_grid_order():

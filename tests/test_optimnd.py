@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dualquant import _simplex
+from dualquant import _simplex, optimnd
 from dualquant.batch import BatchSolver
 from dualquant.distributions import DistributionSpec, make_normal, make_uniform_box
 from dualquant.errors import NonDifferentiableError
@@ -479,6 +479,39 @@ def test_refine_holds_its_draws_and_equals_the_redrawing_loop(grid, dist):
     # from (10 + it, k)
     assert [k for k in held if k[0] == 0] == [(0, 0), (0, 1)]
     assert redrawn.count((0, 0)) > 2
+
+
+def test_refine_counts_a_step_that_collapses_two_points_as_failed(
+        monkeypatch):
+    # the first trial step, 0.1 * span / max|g| = 0.5 along -(1, 1),
+    # puts the free point on the pinned corner (0, 0)
+    g = Grid(np.vstack([5.0 * np.asarray(CORNERS), [[0.5, 0.5]]]),
+             pinned={0, 1, 2, 3})
+
+    def gradient(grid, *args, **kwargs):
+        out = np.zeros((grid.n, 2))
+        out[4] = 1.0
+        return out
+
+    monkeypatch.setattr(optimnd, "mc_gradient", gradient)
+    dist = make_uniform_box([0.0, 0.0], [5.0, 5.0])
+    out = refine(g, dist, iters=1, mc_samples=2000, rng=RngStream(5))
+    np.testing.assert_array_equal(out.points[:4], g.points[:4])
+    assert out.pinned == g.pinned and out.n == g.n
+
+
+def test_train_rejects_repeated_anchors_before_any_draw():
+    draws = []
+
+    def sampler(rng, n):
+        draws.append(n)
+        return U2.sampler(rng, n)
+
+    dist = DistributionSpec("counted", 2, sampler, U2.support)
+    cfg = TrainConfig(steps=10, anchors=((0, 0), (1, 1), (0, 0)))
+    with pytest.raises(ValueError, match=r"anchor \(0\.0, 0\.0\) is repeated"):
+        train(dist, 6, cfg)
+    assert draws == []
 
 
 def test_refine_1d_moves_interior_point_toward_optimum():
