@@ -119,8 +119,3 @@ def solve_standard_form(A, b, c, tol) -> SimplexResult:
     x[basis] = xB
     value = float(c[basis] @ xB)
     return SimplexResult("optimal", basis, x, y, value, total_it)
-
-
-def phase_one_feasible(A, b, tol) -> bool:
-    """True iff {x >= 0 : A x = b} is nonempty (within tol)."""
-    return _phase_one(A, b, tol)[4] <= tol

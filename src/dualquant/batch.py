@@ -13,10 +13,10 @@
 * ``lp``: every other setting, and a grid Qhull rejects or thins (flat,
   or a point too close to another), solves one LP per row.
 
-Rows outside the convex hull of the grid are handled here, once: they
-raise SampleOutsideHullError unless the solver is extended, in which
-case they are served by their nearest grid point.  ``shard_reduce`` is
-the one loop that splits Monte Carlo work into numbered shards.
+Rows outside the grid's convex hull are handled here, once: they raise
+SampleOutsideHullError, an InfeasibleError, unless the solver is
+extended; then their nearest grid point serves them.  ``shard_reduce``
+is the one loop that splits Monte Carlo work into numbered shards.
 
 Ties: on a cospherical grid (any product grid) more than one simplex is
 optimal at a row.  Every path answers with the LP's optimal basis (see
@@ -416,8 +416,8 @@ class BatchSolver:
     def _exterior(self, X: np.ndarray, inside: np.ndarray):
         if not self.extended:
             raise SampleOutsideHullError(
-                "a sample fell outside the grid hull; "
-                "use the extended variant instead")
+                "a point lies outside the convex hull of the grid; the "
+                "extended variants serve it by its nearest grid point")
         return self._path.nearest(X[~inside])
 
     def values(self, X: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .batch import BatchSolver, shard_reduce
 from .distributions import DistributionSpec
-from .errors import InfeasibleError
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec
 from .metrics import DEFAULT_CHUNK, _sorted_1d, mean_and_se
 from .rng import RngStream
@@ -226,17 +225,15 @@ def convex_dominance_check(grid: Grid, F, test_points) -> bool:
 
     For convex F the interpolant lies above F inside the hull (equality
     for affine F); a concave F flips the direction and fails the check.
-    Points outside the hull raise.  One solve serves every test point,
-    and F is evaluated once on each grid point some basis uses.
+    Points outside the hull raise SampleOutsideHullError; one solve serves
+    them all, and F runs once on each grid point some basis uses.
     """
     pts = np.asarray(test_points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
         raise ValueError(f"test points must have shape (n, {grid.dim})")
-    sol = BatchSolver(grid, EUCLIDEAN_QUADRATIC, extended=True).solve(pts)
-    if np.any(sol.nearest >= 0):
-        raise InfeasibleError("query point lies outside the convex hull of the grid")
+    sol = BatchSolver(grid, EUCLIDEAN_QUADRATIC).solve(pts)
     used = np.unique(sol.basis)
     fgrid = np.zeros(grid.n)
     fgrid[used] = [float(F(grid.points[i])) for i in used]

@@ -33,7 +33,7 @@ from math import ceil
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .errors import FlatGridError, InfeasibleError
+from .errors import FlatGridError
 from .geometry import EUCLIDEAN_QUADRATIC, Grid, NormSpec
 from .lp import LocalSolution
 
@@ -292,7 +292,7 @@ def locate(tri: Triangulation, xi) -> int | None:
 def dq_solve_delaunay(grid: Grid, xi, spec: NormSpec) -> LocalSolution:
     """Local solution at xi (l2, p = 2): the one-row answer of
     ``BatchSolver.solve`` on ``grid``, ties included, with u2 from the
-    basis."""
+    basis; a point outside the hull raises SampleOutsideHullError."""
     from .batch import BatchSolver  # batch imports this module
 
     if not spec.is_euclidean_quadratic:
@@ -300,9 +300,7 @@ def dq_solve_delaunay(grid: Grid, xi, spec: NormSpec) -> LocalSolution:
     if grid.dim != 2:
         raise ValueError("the Delaunay fast path is two-dimensional")
     xi = np.asarray(xi, dtype=float)
-    sol = BatchSolver(grid, spec, extended=True).solve(xi.reshape(1, 2))
-    if sol.nearest[0] >= 0:
-        raise InfeasibleError("query point lies outside the convex hull of the grid")
+    sol = BatchSolver(grid, spec).solve(xi.reshape(1, 2))
     basis, lam, u1 = sol.basis[0], sol.weights[0], sol.u1[0]
     P = grid.points[basis]
     u2 = float(np.sum((xi - P[0]) ** 2) - P[0] @ u1)

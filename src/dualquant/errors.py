@@ -6,15 +6,15 @@ class DualQuantError(Exception):
 
 
 class InfeasibleError(DualQuantError):
-    """The query point lies outside the convex hull of the grid."""
+    """A point lies outside the convex hull of the grid."""
 
 
 class FlatGridError(DualQuantError):
     """The grid does not affinely span the ambient space."""
 
 
-class SampleOutsideHullError(DualQuantError):
-    """A sample fell outside the hull while extended mode was off."""
+class SampleOutsideHullError(InfeasibleError):
+    """A point outside the hull, met where the extended variant is off."""
 
 
 class NonDifferentiableError(DualQuantError):

@@ -146,7 +146,7 @@ def in_convex_hull(grid: Grid, xi) -> bool:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (grid.dim,):
         raise ValueError(f"query point must have shape ({grid.dim},)")
-    return _simplex.phase_one_feasible(*unit_frame(grid, xi), FEAS_TOL)
+    return _simplex._phase_one(*unit_frame(grid, xi), FEAS_TOL)[4] <= FEAS_TOL
 
 
 def circumcenter(points) -> tuple[np.ndarray, float]:

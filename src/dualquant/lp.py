@@ -142,7 +142,9 @@ def _solve(grid: Grid, xi, spec: NormSpec) -> tuple[LocalSolution, bool]:
 
 
 def local_dq_solve(grid: Grid, xi, spec: NormSpec) -> LocalSolution:
-    """Solve the local LP at xi; raises InfeasibleError outside the hull."""
+    """Solve the local LP at xi; raises InfeasibleError outside the hull.
+    The basis holds xi within TOL in unit-frame distance (see unit_frame):
+    -w_k h_k <= TOL, with h_k vertex k's height over its opposite facet."""
     return _solve(grid, xi, spec)[0]
 
 

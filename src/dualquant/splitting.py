@@ -7,11 +7,12 @@ E[J(xi)] = xi, and E ||xi - J(xi)||^p recovers the local error exactly.
 Outside the hull, the extended operator projects to the nearest grid
 point first.
 
-Each call solves its point as one row of ``BatchSolver(grid, spec,
-extended=True)``, as ``cubature`` does, so both draw from the LP's basis
-(on a tie its canonical one), in ascending grid index.  At
-a point of a 1D grid the bracketing pair may differ from the LP's basis;
-the draw, all of whose weight sits on that point, cannot.
+Each call solves its point as one row of ``BatchSolver``, as ``cubature``
+does, so both draw from the LP's basis (on a tie its canonical one), in
+ascending grid index.  Outside the hull every call but ``split_extended``
+raises SampleOutsideHullError.  At a point of a 1D grid the bracketing
+pair may differ from the LP's basis; the draw, all of whose weight sits
+on that point, cannot.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import BatchSolver
-from .errors import InfeasibleError
 from .geometry import Grid, NormSpec, norm_value_batch
 from .rng import RngStream
 
@@ -69,14 +69,11 @@ def pick(weights, u) -> np.ndarray:
 
 def _solve(grid: Grid, xi, spec: NormSpec, extended: bool = False):
     """Basis, weights and nearest index (-1 inside the hull) at xi, one
-    row of the extended solver; unless ``extended``, a point outside the
-    hull raises InfeasibleError."""
+    row of ``BatchSolver(grid, spec, extended)``."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (grid.dim,):
         raise ValueError(f"query point must have shape ({grid.dim},)")
-    sol = BatchSolver(grid, spec, extended=True).solve(xi[None, :])
-    if not extended and sol.nearest[0] >= 0:
-        raise InfeasibleError("query point lies outside the convex hull of the grid")
+    sol = BatchSolver(grid, spec, extended).solve(xi[None, :])
     return sol.basis[0], sol.weights[0], int(sol.nearest[0])
 
 

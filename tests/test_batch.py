@@ -67,6 +67,9 @@ def test_shard_reduce_sizes_and_order():
     (Grid([0.2, 0.5, 0.9]), S2),
     (_random_grid(7, 4), S2),
     (_random_grid(7, 4), NormSpec("l1", 2)),
+    # the segments path's closed form for p != 2
+    *((Grid([0.2, 0.5, 0.9]), NormSpec(kind, p))
+      for kind, p in (("l2", 1.5), ("l2", 3), ("l1", 1), ("linf", 4))),
 ])
 def test_solve_matches_lp_and_marks_exterior(grid, spec):
     d = grid.dim

@@ -113,6 +113,22 @@ def test_eval_mc_seeded_and_thread_invariant(tmp_path, capsys):
     assert a == b == c
 
 
+def test_eval_extended_compare_voronoi_mc_is_thread_invariant(tmp_path,
+                                                              capsys):
+    # the README's eval command in Monte Carlo mode, on a 2D grid; past
+    # one shard of samples, so the second thread takes a shard
+    gp = tmp_path / "g.json"
+    inner = np.random.default_rng(2).uniform(0.1, 0.9, size=(12, 2))
+    save_grid(Grid(np.vstack([[[0, 0], [1, 0], [0, 1], [1, 1]], inner])), gp)
+    argv = ("eval", "--grid", str(gp), "--dist", "normal2d", "--extended",
+            "--samples", "70000", "--compare-voronoi", "--seed", "3",
+            "--json")
+    code, one, _ = run(capsys, *argv, "--threads", "1")
+    assert code == 0
+    assert json.loads(one)["dual_ge_voronoi"] is True
+    assert run(capsys, *argv, "--threads", "2")[:2] == (0, one)
+
+
 def test_eval_extended_on_normal_is_finite(tmp_path, capsys):
     gp = tmp_path / "g.json"
     save_grid(Grid([-1.0, 0.0, 1.5]), gp)

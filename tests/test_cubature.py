@@ -18,7 +18,7 @@ from dualquant.distributions import (
     make_exponential,
     make_uniform_box,
 )
-from dualquant.errors import InfeasibleError, SampleOutsideHullError
+from dualquant.errors import SampleOutsideHullError
 from dualquant.geometry import EUCLIDEAN_QUADRATIC as S2
 from dualquant.geometry import Grid, NormSpec
 from dualquant.lp import local_dq_solve
@@ -327,6 +327,6 @@ def test_convex_dominance_1d():
 
 
 def test_convex_dominance_outside_hull_raises():
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(SampleOutsideHullError):
         convex_dominance_check(TRIANGLE, lambda x: float(x @ x),
                                [[2.0, 2.0]])

@@ -14,7 +14,8 @@ from dualquant.delaunay import (
     locate,
     triangulate,
 )
-from dualquant.errors import FlatGridError, InfeasibleError
+from dualquant.errors import (FlatGridError, InfeasibleError,
+                              SampleOutsideHullError)
 from dualquant.geometry import Grid, NormSpec, circumcenter, in_convex_hull
 from dualquant.lp import local_dq_solve, local_dq_value, optimality_region_contains
 from dualquant.optimnd import cvlq_step
@@ -143,7 +144,7 @@ def test_fast_path_matches_lp():
             try:
                 sol_lp = local_dq_solve(g, xi, S2)
             except InfeasibleError:
-                with pytest.raises(InfeasibleError):
+                with pytest.raises(SampleOutsideHullError):
                     dq_solve_delaunay(g, xi, S2)
                 continue
             sol_dt = dq_solve_delaunay(g, xi, S2)

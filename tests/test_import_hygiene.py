@@ -3,13 +3,16 @@ imports is used in that module or exported through its ``__all__``,
 every top-level name is read somewhere in the package or timed by the
 benchmark, every parameter of a package function but ``self`` and
 ``cls`` is read in that function's body, only ``delaunay`` imports
-Qhull's Delaunay mesh builder, and no other module calls its
-O(rows x triangles) planar locator."""
+Qhull's Delaunay mesh builder, no other module calls its
+O(rows x triangles) planar locator, and each outside-the-hull error has
+its one owner."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from dualquant.errors import InfeasibleError, SampleOutsideHullError
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dualquant"
@@ -120,3 +123,19 @@ def test_no_module_calls_the_planar_locator():
         and getattr(node.func, "id", getattr(node.func, "attr", None))
         in locator}
     assert sorted(callers) == []
+
+
+def test_outside_the_hull_is_decided_once():
+    # the LP owns InfeasibleError, and a batch solve or an estimator
+    # raises its SampleOutsideHullError; single-point callers re-raise
+    # neither, they solve through BatchSolver
+    assert issubclass(SampleOutsideHullError, InfeasibleError)
+    raisers = {name: set() for name in ("InfeasibleError",
+                                         "SampleOutsideHullError")}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id",
+                                                      None) in raisers:
+                raisers[node.func.id].add(path.name)
+    assert raisers == {"InfeasibleError": {"lp.py"},
+                       "SampleOutsideHullError": {"batch.py", "metrics.py"}}

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -7,8 +7,10 @@ from scipy.spatial import ConvexHull, Delaunay
 
 from dualquant.batch import BatchSolver
 from dualquant.errors import BasisBudgetError, FlatGridError, InfeasibleError
-from dualquant.geometry import Grid, NormSpec, extended_matrix, in_convex_hull
+from dualquant.geometry import (Grid, NormSpec, extended_matrix, in_convex_hull,
+                                unit_frame)
 from dualquant.lp import (
+    TOL,
     enumerate_bases_oracle,
     is_nondegenerate,
     local_dq_solve,
@@ -247,6 +249,34 @@ def test_answers_do_not_depend_on_units(s, c):
         slack = 1e-7 * s * s if c else 0.0
         assert abs(val - s * s * ref) <= 1e-9 * s * s * ref + slack
         assert is_nondegenerate(gs, xs, S2) == is_nondegenerate(g, xi, S2)
+
+
+FLOOR_2D = np.random.default_rng(1).uniform(0.1, 0.9, size=(64, 2))
+FLOOR_3D = np.vstack([list(product((0.0, 1.0), repeat=3)),
+                      np.random.default_rng(3).random((22, 3))])
+
+
+@pytest.mark.parametrize("base, s, c", [
+    pytest.param(FLOOR_2D, 1.0, 1e6, id="shifted1e6"),
+    pytest.param(FLOOR_2D, 1e-6, 1.0, id="scaled1e-6"),
+    pytest.param(FLOOR_2D, 1.0, 0.0, id="random64"),
+    pytest.param(FLOOR_3D, 1.0, 1e5, id="cube3d-shifted1e5"),
+])
+def test_basis_holds_the_query_within_tol(base, s, c):
+    # grid points and points a quarter and halfway along Delaunay edges:
+    # far from the origin such a row rounds to just outside a thin
+    # simplex, and a unit-frame weight w_k reaches -1.8e-8, but its
+    # distance beyond the facet, -w_k h_k with h_k vertex k's height,
+    # stays within TOL
+    grid = Grid(base * s + c)
+    P = grid.points
+    a, b = np.array(sorted({e for t in Delaunay(base).simplices
+                            for e in combinations(sorted(t), 2)})).T
+    for xi in np.vstack([P] + [t * P[a] + (1 - t) * P[b] for t in (0.25, 0.5)]):
+        A, rhs = unit_frame(grid, xi)
+        inverse = np.linalg.inv(A[:, list(local_dq_solve(grid, xi, S2).basis)])
+        height = 1.0 / np.linalg.norm(inverse[:, :-1], axis=1)
+        assert np.max(-(inverse @ rhs) * height) <= TOL
 
 
 @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])

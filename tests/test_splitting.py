@@ -5,7 +5,7 @@ import pytest
 
 from dualquant.batch import BatchSolver
 from dualquant.cubature import convex_dominance_check
-from dualquant.errors import InfeasibleError
+from dualquant.errors import InfeasibleError, SampleOutsideHullError
 from dualquant.geometry import Grid, NormSpec
 from dualquant.lp import local_dq_solve, local_dq_value
 from dualquant.rng import RngStream
@@ -104,12 +104,13 @@ def test_split_outcome_fields():
 
 
 def test_split_requires_interior():
+    # the compact solver's own error, an InfeasibleError
     g = Grid([[0, 0], [1, 0], [0, 1]])
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(SampleOutsideHullError):
         split(g, np.array([1.0, 1.0]), S2, RngStream(1))
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(SampleOutsideHullError):
         split_many(g, np.array([1.0, 1.0]), S2, RngStream(1), 5)
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(SampleOutsideHullError):
         interpolate(g, lambda x: 1.0, np.array([1.0, 1.0]), S2)
 
 
@@ -168,7 +169,7 @@ def test_1d_ends_and_grid_points_take_the_lp():
     # its dual line passes above the cost of point 1
     assert split(g, np.array([1 + 1e-12]), S2, RngStream(3)).basis == (1, 2)
     past = np.array([1 + 1e-8])  # past the LP's tolerance
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(SampleOutsideHullError):
         split(g, past, S2, RngStream(3))
     assert split_extended(g, past, S2, RngStream(3)).mode == "exterior"
 
