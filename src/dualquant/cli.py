@@ -125,11 +125,9 @@ def cmd_train1d(args) -> tuple[dict, list[str]]:
     human = [f"trained 1D grid: n={args.n} mode={args.mode} "
              f"iterations={rep.iterations} "
              f"grad_norm={rep.final_gradient_norm:.3e}"]
-    if dist.analytics is not None:
-        err = exact_1d_dq_error(rep.grid, dist,
-                                extended=args.mode == "extended")
-        payload["error"] = err
-        human.append(f"exact quadratic error: {err:.12g}")
+    err = exact_1d_dq_error(rep.grid, dist, extended=args.mode == "extended")
+    payload["error"] = err
+    human.append(f"exact quadratic error: {err:.12g}")
     human.append("points: " + " ".join(f"{v:.12g}"
                                        for v in rep.grid.points[:, 0]))
     if args.out:
@@ -398,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, threads="MC shards")
     p.set_defaults(func=cmd_cubature)
 
-    p = sub.add_parser("rate-table", aliases=["rate_table"],
+    p = sub.add_parser("rate-table",
                        help="error ladder over grid sizes + fitted slope")
     p.add_argument("--dist", required=True)
     p.add_argument("--kind", choices=("theoretical", "product"),
@@ -412,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, threads="MC shards")
     p.set_defaults(func=cmd_rate_table)
 
-    p = sub.add_parser("export-svg", aliases=["export_svg"],
-                       help="SVG figure of a 2D grid")
+    p = sub.add_parser("export-svg", help="SVG figure of a 2D grid")
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--title")

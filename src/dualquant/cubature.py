@@ -60,7 +60,7 @@ class WeightTable:
 
 
 def _split_sums(grid: Grid, dist: DistributionSpec, spec: NormSpec, F_rows,
-                n_samples: int, rng: RngStream, extended: bool, chunk: int,
+                n_samples: int, rng: RngStream, extended: bool,
                 threads: int) -> tuple:
     """Sums over split draws: outcome counts, then with ``F_rows`` the
     sums of d = F(X) - F(x_J), d^2, b = ||X - x_J||^2 and b^2.
@@ -92,7 +92,7 @@ def _split_sums(grid: Grid, dist: DistributionSpec, spec: NormSpec, F_rows,
         return (counts, float(d.sum()), float(d @ d), float(b.sum()),
                 float(b @ b))
 
-    return shard_reduce(n_samples, chunk, threads, run)
+    return shard_reduce(n_samples, DEFAULT_CHUNK, threads, run)
 
 
 def _row_values(F_rows, X: np.ndarray) -> np.ndarray:
@@ -104,18 +104,18 @@ def _row_values(F_rows, X: np.ndarray) -> np.ndarray:
 
 
 def weights(grid: Grid, dist: DistributionSpec, spec: NormSpec,
-            n_samples: int, rng: RngStream, extended: bool = False,
-            chunk: int = DEFAULT_CHUNK, threads: int = 1) -> WeightTable:
+            n_samples: int, rng: RngStream,
+            extended: bool = False) -> WeightTable:
     """Monte Carlo cubature weights: outcome frequencies of splitting.
 
-    Shard k draws its samples from ``rng.substream(2k)`` and its
-    selection uniforms from ``rng.substream(2k + 1)``, so the estimate
-    is reproducible and repeated calls with the same stream share
-    samples (common random numbers across grids).  Threading changes
-    only shard scheduling, never the result.
+    Shard k, of ``DEFAULT_CHUNK`` samples, draws its samples from
+    ``rng.substream(2k)`` and its selection uniforms from
+    ``rng.substream(2k + 1)``, so the estimate depends only on the
+    stream's seed and ``n_samples``, and repeated calls with the same
+    stream share samples (common random numbers across grids).
     """
     (counts,) = _split_sums(grid, dist, spec, None, n_samples, rng,
-                            extended, chunk, threads)
+                            extended, 1)
     return WeightTable(grid, counts / n_samples, n_samples, rng.seed)
 
 
@@ -169,15 +169,14 @@ class SecondOrderReport:
 
 def weights_and_report(grid: Grid, dist: DistributionSpec, spec: NormSpec,
                        F_rows, F_prime_lipschitz: float, n_samples: int,
-                       rng: RngStream, extended: bool = False,
-                       chunk: int = DEFAULT_CHUNK, threads: int = 1
+                       rng: RngStream, extended: bool = False, threads: int = 1
                        ) -> tuple[WeightTable, SecondOrderReport]:
     """``weights`` and ``second_order_report`` from one pass of draws.
 
     ``F_rows`` maps an (m, d) block of points to their m values.  The
     results equal those of the two separate calls with the same stream,
-    bit for bit, when ``F_rows`` gives each row the value the per-point
-    F gives it.
+    bit for bit and for any ``threads``, when ``F_rows`` gives each row
+    the value the per-point F gives it.
     """
     if spec.kind != "l2":
         raise ValueError("the second-order bound is stated for the l2 norm")
@@ -187,8 +186,7 @@ def weights_and_report(grid: Grid, dist: DistributionSpec, spec: NormSpec,
     if n_samples < 2:
         raise ValueError("need at least two samples")
     counts, sd, sd2, sb, sb2 = _split_sums(grid, dist, spec, F_rows,
-                                           n_samples, rng, extended, chunk,
-                                           threads)
+                                           n_samples, rng, extended, threads)
     err_mean, error_std = mean_and_se(sd, sd2, n_samples)
     b_mean, b_se = mean_and_se(sb, sb2, n_samples)
     bound_std = lip * b_se
@@ -203,21 +201,22 @@ def weights_and_report(grid: Grid, dist: DistributionSpec, spec: NormSpec,
 
 def second_order_report(grid: Grid, dist: DistributionSpec, spec: NormSpec,
                         F, F_prime_lipschitz: float, n_samples: int,
-                        rng: RngStream, extended: bool = False,
-                        chunk: int = DEFAULT_CHUNK,
-                        threads: int = 1) -> SecondOrderReport:
+                        rng: RngStream,
+                        extended: bool = False) -> SecondOrderReport:
     """Estimate |E F(X) - E F(split(X))| against its quadratic bound.
 
     Both sides run on common samples and common splitting outcomes:
     the error side averages F(X) - F(x_J) and the bound side averages
     the realized squared displacement ||X - x_J||^2 times the supplied
     Lipschitz constant of F'.  ``satisfied`` allows four combined
-    standard errors of slack on top of the bound.  F maps one point to
-    a float; ``weights_and_report`` takes F on blocks of rows instead.
+    standard errors of slack on top of the bound.  Draws shard as in
+    ``weights``, so the report depends only on the stream's seed and
+    ``n_samples``.  F maps one point to a float; ``weights_and_report``
+    takes F on blocks of rows instead.
     """
     F_rows = lambda X: np.array([float(F(x)) for x in X])
     return weights_and_report(grid, dist, spec, F_rows, F_prime_lipschitz,
-                              n_samples, rng, extended, chunk, threads)[1]
+                              n_samples, rng, extended)[1]
 
 
 def convex_dominance_check(grid: Grid, F, test_points) -> bool:

@@ -160,7 +160,7 @@ def make_normal(mu: float = 0.0, sigma: float = 1.0, dim: int = 1,
     return DistributionSpec(name, dim, sampler, None, analytics)
 
 
-def make_exponential(lam: float, name: str | None = None) -> DistributionSpec:
+def make_exponential(lam: float) -> DistributionSpec:
     """Exponential law with rate lam on [0, inf)."""
     if lam <= 0:
         raise ValueError("rate must be positive")
@@ -193,10 +193,10 @@ def make_exponential(lam: float, name: str | None = None) -> DistributionSpec:
 
     analytics = Analytics1D(pdf, partial_moment, quantile)
     support = (np.array([0.0]), np.array([math.inf]))
-    return DistributionSpec(name or f"exponential:{lam}", 1, sampler, support, analytics)
+    return DistributionSpec(f"exponential:{lam}", 1, sampler, support, analytics)
 
 
-def make_bm_sup(name: str = "bmsup") -> DistributionSpec:
+def make_bm_sup() -> DistributionSpec:
     """Joint law of (W_1, sup_{t<=1} W_t) for a standard Brownian motion.
 
     Sampled exactly: conditionally on W_1 = w the running maximum has
@@ -210,7 +210,7 @@ def make_bm_sup(name: str = "bmsup") -> DistributionSpec:
         m = 0.5 * (w + np.sqrt(w * w - 2.0 * np.log(u)))
         return np.column_stack([w, m])
 
-    return DistributionSpec(name, 2, sampler, None, None)
+    return DistributionSpec("bmsup", 2, sampler, None, None)
 
 
 def parse_distribution(text: str) -> DistributionSpec:

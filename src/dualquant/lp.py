@@ -30,6 +30,8 @@ from .geometry import (Grid, NormSpec, _affinely_independent, extended_matrix,
 TOL = 1e-9
 # Cap on tight-set subsets examined while canonicalizing a tied basis.
 TIE_BUDGET = 10_000
+# Cap on the (d+1)-subsets the enumeration oracle scans.
+ORACLE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def local_dq_value_extended(grid: Grid, xi, spec: NormSpec) -> float:
         return float(np.min(_costs(grid, xi, spec)))
 
 
-def enumerate_bases_oracle(grid: Grid, xi, spec: NormSpec, budget: int = 2_000_000) -> float:
+def enumerate_bases_oracle(grid: Grid, xi, spec: NormSpec) -> float:
     """Brute-force reference value: scan every affinely independent
     (d+1)-subset whose simplex contains xi and take the cheapest.
 
@@ -171,7 +173,7 @@ def enumerate_bases_oracle(grid: Grid, xi, spec: NormSpec, budget: int = 2_000_0
     """
     xi = np.asarray(xi, dtype=float)
     d, n = grid.dim, grid.n
-    if comb(n, d + 1) > budget:
+    if comb(n, d + 1) > ORACLE_BUDGET:
         raise BasisBudgetError(f"C({n},{d + 1}) exceeds the enumeration budget")
     c = _costs(grid, xi, spec)
     b = np.concatenate([xi, [1.0]])

@@ -2,9 +2,9 @@
 
 Monte Carlo estimators shard their samples into fixed-size chunks drawn
 from numbered substreams, so an estimate depends only on the seed and the
-chunk size, never on how the loop is scheduled.  Local values come from
-the batch layer (``batch.BatchSolver``), which picks the 1D, Qhull
-Delaunay (d >= 2) or per-sample LP path.
+sample count (and ``mc_dq_error``'s ``chunk``), never on scheduling.
+Local values come from the batch layer (``batch.BatchSolver``), which
+picks the 1D, Qhull Delaunay (d >= 2) or per-sample LP path.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def dq_values_batch(grid: Grid, X, spec: NormSpec,
 
 def _mc_mean(evaluate: Callable[[np.ndarray], np.ndarray],
              dist: DistributionSpec, n_samples: int, rng: RngStream,
-             chunk: int, threads: int = 1) -> ErrorEstimate:
+             chunk: int, threads: int) -> ErrorEstimate:
     def run(shard: int, take: int) -> tuple[float, float]:
         xs = dist.sampler(rng.substream(shard), take)
         vals = evaluate(np.asarray(xs, dtype=float))
@@ -98,7 +98,6 @@ def mc_dq_error(grid: Grid, dist: DistributionSpec, spec: NormSpec,
 
 def mc_voronoi_error(grid: Grid, dist: DistributionSpec, spec: NormSpec,
                      n_samples: int, rng: RngStream,
-                     chunk: int = DEFAULT_CHUNK,
                      threads: int = 1) -> ErrorEstimate:
     """Monte Carlo nearest-neighbour error power on the same grid."""
     if n_samples < 2:
@@ -112,7 +111,7 @@ def mc_voronoi_error(grid: Grid, dist: DistributionSpec, spec: NormSpec,
         d, _ = tree.query(X, p=minkowski)
         return d ** spec.p
 
-    return _mc_mean(ev, dist, n_samples, rng, chunk, threads)
+    return _mc_mean(ev, dist, n_samples, rng, DEFAULT_CHUNK, threads)
 
 
 def _sorted_1d(grid: Grid, dist: DistributionSpec | None = None,

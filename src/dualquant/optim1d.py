@@ -124,10 +124,7 @@ def hessian_1d(grid: Grid, dist: DistributionSpec,
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
                        rhs: np.ndarray) -> np.ndarray:
-    n = len(diag)
-    if n == 1:
-        return rhs / diag
-    ab = np.zeros((3, n))
+    ab = np.zeros((3, len(diag)))
     ab[0, 1:] = off
     ab[1] = diag
     ab[2, :-1] = off
@@ -135,31 +132,21 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
 
 
 def newton_solve(dist: DistributionSpec, n: int, mode: str = "compact",
-                 init=None, tol: float = 1e-10,
-                 max_iter: int = 100) -> NewtonReport:
+                 tol: float = 1e-10, max_iter: int = 100) -> NewtonReport:
     """Find a stationary grid of the mean quadratic error by Newton steps.
 
     Steps are halved until they preserve strict ordering.  Compact mode
     pins the outer points to the support endpoints and solves the
     interior block; extended mode moves every point and starts from an
-    equidistant grid across the central quantile range.  The law, mode
-    and start are validated once; the iterations then work on the bare
+    equidistant grid across the central quantile range.  The law and
+    mode are validated once; the iterations then work on the bare
     coordinate array, whose ordering the step halving preserves, and a
     ``Grid`` is built only for the report.
     """
     ends = _check_dist(dist, mode, n)
     q = dist.analytics.quantile
     lo, hi = ends if ends is not None else (q(0.1), q(0.9))
-    if init is None:
-        xs = np.linspace(lo, hi, n)
-    else:
-        xs = np.asarray(init, dtype=float).reshape(-1).copy()
-        if len(xs) != n or not (np.all(np.isfinite(xs))
-                                and np.all(np.diff(xs) > 0.0)):
-            raise ValueError("init must be a finite, strictly increasing "
-                             "n-vector")
-    if mode == "compact":
-        xs[0], xs[-1] = lo, hi
+    xs = np.linspace(lo, hi, n)
     active = slice(1, n - 1) if mode == "compact" else slice(0, n)
 
     grad_norm = math.inf

@@ -203,18 +203,17 @@ def _train_blocks(pts, pinned, dist, cfg, sample_stream, record):
 
 
 def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
-                n_samples: int, rng: RngStream, return_std: bool = False,
-                chunk: int = DEFAULT_CHUNK):
+                n_samples: int, rng: RngStream, return_std: bool = False):
     """Monte Carlo gradient of the extended mean error power, shape (n, d).
 
     Every sample contributes lam_i (p ||xi-x_i||^{p-2} (x_i-xi) - u1)
     on its basis rows, which is 2 lam_i (x_i - z*) in the quadratic
     case.  An exterior sample's basis is its nearest neighbour alone
     (lam = 1, u1 = 0), so the same formula pulls that point toward it.
-    Shards reduce in index order and draw from numbered substreams, so
-    the estimate never consumes the parent stream.  A RuntimeWarning
-    flags more than 1% of samples tied (``BatchSolution.tied``), where
-    the pathwise gradient may be biased.
+    Shards draw from numbered substreams, never the parent stream, and
+    reduce in index order, so the estimate depends only on the seed and
+    ``n_samples``.  A RuntimeWarning flags more than 1% of samples tied
+    (``BatchSolution.tied``), where the pathwise gradient may be biased.
     """
     if spec.kind != "l2" or spec.p < 2:
         raise NonDifferentiableError(
@@ -255,7 +254,7 @@ def mc_gradient(grid: Grid, dist: DistributionSpec, spec: NormSpec,
             return tied, _scatter_sum(idx, vec, n)
         return tied, _scatter_sum(idx, vec, n), _scatter_sum(idx, vec ** 2, n)
 
-    tied, gsum, *gsq = shard_reduce(n_samples, chunk, 1, shard)
+    tied, gsum, *gsq = shard_reduce(n_samples, DEFAULT_CHUNK, 1, shard)
     if tied > 0.01 * n_samples:
         warnings.warn(
             f"{tied}/{n_samples} gradient samples hit degenerate queries; "

@@ -8,19 +8,19 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
 from dualquant import batch, delaunay
 from dualquant.batch import BatchSolver, shard_reduce
-from dualquant.cubature import second_order_report, weights
+from dualquant.cubature import second_order_report, weights, weights_and_report
 from dualquant.distributions import make_normal, make_uniform_box
 from dualquant.errors import InfeasibleError, SampleOutsideHullError
 from dualquant.geometry import EUCLIDEAN_QUADRATIC as S2
 from dualquant.geometry import Grid, NormSpec, _affinely_independent
 from dualquant.lp import enumerate_bases_oracle, is_nondegenerate, local_dq_solve
-from dualquant.metrics import mc_dq_error
+from dualquant.metrics import DEFAULT_CHUNK, mc_dq_error
 from dualquant.optimnd import mc_gradient
 from dualquant.rng import RngStream
 from dualquant.splitting import nn_project, pick
@@ -105,23 +105,25 @@ def test_compact_solver_raises_outside_hull():
             solver.solve(X)
 
 
-def test_results_do_not_depend_on_thread_count():
-    # five shards of 1000 samples, spread over one and three threads
-    grid = _random_grid(12, 7)
-    normal = make_normal(dim=2)
-    runs = {}
+def _thread_runs(grid, dist):
+    """The estimators on one and on three threads: five shards of 1000
+    samples for the error, and three default shards for the weights
+    and the second-order report."""
+    runs = []
     for threads in (1, 3):
-        kw = dict(chunk=1000, threads=threads)
-        runs[threads] = (
-            mc_dq_error(grid, normal, S2, 5000, RngStream(3), extended=True,
-                        **kw),
-            weights(grid, normal, S2, 5000, RngStream(4), extended=True,
-                    **kw).weights,
-            second_order_report(grid, normal, S2,
-                                lambda x: float(np.cos(x.sum())), 2.0, 5000,
-                                RngStream(5), extended=True, **kw),
-        )
-    (e1, w1, s1), (e3, w3, s3) = runs[1], runs[3]
+        est = mc_dq_error(grid, dist, S2, 5000, RngStream(3), extended=True,
+                          chunk=1000, threads=threads)
+        table, report = weights_and_report(
+            grid, dist, S2, lambda X: np.cos(X.sum(axis=1)), 2.0,
+            2 * DEFAULT_CHUNK + 5000, RngStream(5), extended=True,
+            threads=threads)
+        runs.append((est, table.weights, report))
+    return runs
+
+
+def test_results_do_not_depend_on_thread_count():
+    (e1, w1, s1), (e3, w3, s3) = _thread_runs(_random_grid(12, 7),
+                                              make_normal(dim=2))
     assert e1 == e3
     assert np.array_equal(w1, w3)
     assert s1 == s3
@@ -332,19 +334,9 @@ def test_simplicial_compact_solver_raises_outside_hull():
 
 
 def test_simplicial_results_do_not_depend_on_thread_count():
-    grid = _box_grid(3, 12, 5)
-    normal = make_normal(dim=3)
-    runs = {}
-    for threads in (1, 3):
-        kw = dict(chunk=1000, threads=threads)
-        runs[threads] = (
-            weights(grid, normal, S2, 5000, RngStream(4), extended=True,
-                    **kw).weights,
-            second_order_report(grid, normal, S2,
-                                lambda x: float(np.cos(x.sum())), 2.0, 5000,
-                                RngStream(5), extended=True, **kw),
-        )
-    (w1, s1), (w3, s3) = runs[1], runs[3]
+    (e1, w1, s1), (e3, w3, s3) = _thread_runs(_box_grid(3, 12, 5),
+                                              make_normal(dim=3))
+    assert e1 == e3
     assert np.array_equal(w1, w3)
     assert s1 == s3
 
@@ -390,41 +382,83 @@ def _random_rows(rng, P, m):
                       rng.uniform(lo, hi, size=(m, P.shape[1]))])
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3),
-       st.lists(st.floats(-577.0, 577.0), min_size=3, max_size=3))
-@settings(max_examples=40, deadline=None)
-def test_simplicial_values_scale_with_the_grid(seed, s, c):
-    # F(s grid + c, s xi + c) = s^2 F(grid, xi); |c| <= 1e3.  Rounding
-    # s x + c moves a point by up to 1e-10 of the grid span at s = 1e-3,
-    # so the unit-scale side takes the moved points mapped back, which
-    # is exact: the property then checks the solver, not that rounding.
+def _scaled(seed, u, c, d):
+    """A grid of 12 random points and 60 rows (see ``_random_rows``),
+    moved by s = 10^u and offset c, and the unit-scale grid and rows
+    they map back to.  Rounding s x + c moves a point by up to 1e-4 of
+    the grid span at s = 1e-6 and |c| = 1e6, and can merge two points
+    of a 1D grid, which is then no grid; mapping the moved points back
+    is exact, so a property checks the solver, not that rounding."""
     rng = np.random.default_rng(seed)
-    P = rng.random((12, 3))
+    P = rng.random((12, d))
     X = _random_rows(rng, P, 30)
-    c = np.asarray(c)
+    s, c = 10.0 ** u, np.asarray(c)
     Pm, Xm = s * P + c, s * X + c
-    base = BatchSolver(Grid((Pm - c) / s), S2, extended=True)
-    moved = BatchSolver(Grid(Pm), S2, extended=True)
-    assert base.path == moved.path == "simplicial"
-    np.testing.assert_allclose(moved.values(Xm) / s ** 2,
-                               base.values((Xm - c) / s), rtol=1e-9)
+    assume(len(np.unique(Pm, axis=0)) == len(Pm))
+    return s, Grid(Pm), Xm, Grid((Pm - c) / s), (Xm - c) / s
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3),
-       st.lists(st.floats(-577.0, 577.0), min_size=2, max_size=2))
+SCALES = st.floats(-6.0, 6.0)
+
+
+def _offsets(d):
+    return st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d)
+
+
+@given(st.integers(0, 2 ** 32 - 1), SCALES, _offsets(3))
 @settings(max_examples=40, deadline=None)
-def test_planar_values_scale_with_the_grid(seed, s, c):
-    # the 2D case of the property above, moved points mapped back
-    rng = np.random.default_rng(seed)
-    P = rng.random((12, 2))
-    X = _random_rows(rng, P, 30)
-    c = np.asarray(c)
-    Pm, Xm = s * P + c, s * X + c
-    base = BatchSolver(Grid((Pm - c) / s), S2, extended=True)
-    moved = BatchSolver(Grid(Pm), S2, extended=True)
+def test_simplicial_values_scale_with_the_grid(seed, u, c):
+    # F(s grid + c, s xi + c) = s^2 F(grid, xi)
+    s, moved, Xm, base, X = _scaled(seed, u, c, 3)
+    base, moved = (BatchSolver(g, S2, extended=True) for g in (base, moved))
     assert base.path == moved.path == "simplicial"
-    np.testing.assert_allclose(moved.values(Xm) / s ** 2,
-                               base.values((Xm - c) / s), rtol=1e-9)
+    np.testing.assert_allclose(moved.values(Xm) / s ** 2, base.values(X),
+                               rtol=1e-9)
+
+
+@given(st.integers(0, 2 ** 32 - 1), SCALES, _offsets(2))
+@settings(max_examples=40, deadline=None)
+def test_planar_values_scale_with_the_grid(seed, u, c):
+    # the 2D case of the property above
+    s, moved, Xm, base, X = _scaled(seed, u, c, 2)
+    base, moved = (BatchSolver(g, S2, extended=True) for g in (base, moved))
+    assert base.path == moved.path == "simplicial"
+    np.testing.assert_allclose(moved.values(Xm) / s ** 2, base.values(X),
+                               rtol=1e-9)
+
+
+@given(st.integers(0, 2 ** 32 - 1), SCALES, _offsets(1),
+       st.sampled_from([NormSpec("l2", 2.0), NormSpec("l2", 3.0),
+                        NormSpec("l1", 1.0)]))
+@settings(max_examples=40, deadline=None)
+def test_segment_values_scale_with_the_grid(seed, u, c, spec):
+    # F(s grid + c, s xi + c) = s^p F(grid, xi) on the 1D path
+    s, moved, Xm, base, X = _scaled(seed, u, c, 1)
+    base, moved = (BatchSolver(g, spec, extended=True)
+                   for g in (base, moved))
+    assert base.path == moved.path == "segments"
+    np.testing.assert_allclose(moved.values(Xm) / s ** spec.p,
+                               base.values(X), rtol=1e-9)
+
+
+@given(st.integers(0, 2 ** 32 - 1), SCALES, st.sampled_from([2, 3]),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_simplicial_solve_scales_with_the_grid(seed, u, d, data):
+    # the same simplex and nearest point, the same weights, and u1
+    # scaled by s: the dual of F^2 is linear in the units.  u1 is held
+    # to 1e-9 of its row's largest entry, since one entry can be nearly
+    # zero (1.4e-7 beside 0.2, off by 1.4e-9 of itself)
+    c = data.draw(_offsets(d))
+    s, moved, Xm, base, X = _scaled(seed, u, c, d)
+    base, moved = (BatchSolver(g, S2, extended=True).solve(Y)
+                   for g, Y in ((base, X), (moved, Xm)))
+    assert np.array_equal(moved.basis, base.basis)
+    assert np.array_equal(moved.nearest, base.nearest)
+    np.testing.assert_allclose(moved.weights, base.weights, rtol=0,
+                               atol=1e-9)
+    row = np.abs(base.u1).max(axis=1, keepdims=True)
+    assert np.all(np.abs(moved.u1 / s - base.u1) <= 1e-9 * row)
 
 
 @pytest.mark.parametrize("c", [1e3, 1e6])

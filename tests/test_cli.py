@@ -50,6 +50,23 @@ def test_unknown_command_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate_table", "--dist", "uniform:0,1", "--sizes", "3,5,9"],
+    ["export_svg", "--grid", "g.json", "--out", "g.svg"],
+], ids=["rate_table", "export_svg"])
+def test_underscore_spellings_are_unknown_commands(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "invalid choice" in err
+
+
+@pytest.mark.parametrize("dist", ["bmsup", "uniform2d"])
+def test_train1d_needs_a_1d_law_with_closed_forms(capsys, dist):
+    code, _, err = run(capsys, "train1d", "--dist", dist, "--n", "5")
+    assert code == 2
+    assert "partial moments" in err
+
+
 def test_nonconvergence_exits_one(capsys):
     code, _, err = run(capsys, "train1d", "--dist", "normal:0,1",
                        "--mode", "extended", "--n", "7", "--max-iter", "1")

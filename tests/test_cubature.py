@@ -262,12 +262,11 @@ ONE_PASS_CASES = [
 def test_one_pass_equals_separate_calls(text, grid, dist, extended):
     F_rows, lip = _make_integrand(text, None, grid, dist)
     args = (grid, dist, S2)
-    kw = dict(extended=extended, chunk=2048)
     table, rep = weights_and_report(*args, F_rows, lip, 5000, RngStream(21),
-                                    **kw)
-    ref_table = weights(*args, 5000, RngStream(21), **kw)
+                                    extended=extended)
+    ref_table = weights(*args, 5000, RngStream(21), extended=extended)
     ref_rep = second_order_report(*args, PER_POINT[text], lip, 5000,
-                                  RngStream(21), **kw)
+                                  RngStream(21), extended=extended)
     assert np.array_equal(table.weights, ref_table.weights)
     assert (table.n_samples, table.seed) == (5000, 21)
     assert vars(rep) == vars(ref_rep)

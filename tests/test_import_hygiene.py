@@ -4,8 +4,9 @@ every top-level name is read somewhere in the package or timed by the
 benchmark, every parameter of a package function but ``self`` and
 ``cls`` is read in that function's body, only ``delaunay`` imports
 Qhull's Delaunay mesh builder, no other module calls its
-O(rows x triangles) planar locator, and each outside-the-hull error has
-its one owner."""
+O(rows x triangles) planar locator, each outside-the-hull error has
+its one owner, and every optional parameter of a public function is set
+by some caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -139,3 +140,68 @@ def test_outside_the_hull_is_decided_once():
                 raisers[node.func.id].add(path.name)
     assert raisers == {"InfeasibleError": {"lp.py"},
                        "SampleOutsideHullError": {"batch.py", "metrics.py"}}
+
+
+# Optional parameters no caller sets that select another quantity, not
+# another way to compute the same one.
+MODES = {
+    "metrics.dq_values_batch(extended)": "the extended functional",
+    "cubature.weights_exact_1d(extended)": "the extended weights",
+    "optim1d.gradient_1d(mode)": "the extended functional's gradient",
+    "optim1d.hessian_1d(mode)": "the extended functional's Hessian",
+    "metrics.scalar_bound(p)": "the bound of another error power",
+    "metrics.theoretical_1d_uniform(p)": "the optimum of another power",
+    "metrics.voronoi_1d_uniform_optimum(p)": "the optimum of another power",
+    "optimnd.mc_gradient(return_std)": "the gradient's standard errors",
+}
+
+
+def _optional_parameters():
+    """(function, parameter, position) of every defaulted parameter of a
+    public top-level package function; position is None for a
+    keyword-only parameter."""
+    for path in MODULES:
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name[0] == "_":
+                continue
+            a = fn.args
+            pos = a.posonlyargs + a.args
+            first = len(pos) - len(a.defaults)
+            for i, p in enumerate(pos[first:], first):
+                yield f"{path.stem}.{fn.name}", p.arg, i
+            for p, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield f"{path.stem}.{fn.name}", p.arg, None
+
+
+def _callee(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _calls():
+    """(callee name, positional count, keyword names) of every call in
+    the package, the demos and the benchmark.  perfbench's
+    ``Runner.api(rep, stage, key, fn, *args, **kw)`` forwards its
+    arguments to fn; a starred argument counts as any number, and a
+    ``**`` splat (keyword None) as any keyword."""
+    for path in [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _callee(node.func), node.args
+            if name == "api" and len(args) >= 4:
+                name, args = _callee(args[3]), args[4:]
+            starred = any(isinstance(a, ast.Starred) for a in args)
+            yield (name, float("inf") if starred else len(args),
+                   {k.arg for k in node.keywords})
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    calls = list(_calls())
+    unset = [f"{fn}({param})" for fn, param, pos in _optional_parameters()
+             if not any(name == fn.split(".")[1]
+                        and ({param, None} & kw
+                             or pos is not None and pos < n_pos)
+                        for name, n_pos, kw in calls)]
+    assert sorted(unset) == sorted(MODES)

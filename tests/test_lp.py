@@ -289,10 +289,11 @@ def test_optimality_region_at_any_scale(s):
 
 
 def test_enumeration_budget_guard():
-    rng = np.random.default_rng(seed + 3)
-    grid = Grid(rng.normal(size=(60, 3)))
+    # C(232, 3) = 2 054 360 subsets exceed the cap; the guard raises
+    # before the scan starts
+    grid = Grid(np.random.default_rng(seed + 3).normal(size=(232, 2)))
     with pytest.raises(BasisBudgetError):
-        enumerate_bases_oracle(grid, np.zeros(3), S2, budget=1000)
+        enumerate_bases_oracle(grid, np.zeros(2), S2)
 
 
 def test_oracle_rejects_outside_queries():
